@@ -1,6 +1,7 @@
 #include "chain/block.h"
 
 #include "rlp/rlp.h"
+#include "trie/trie.h"
 
 namespace onoff::chain {
 
@@ -27,6 +28,15 @@ Bytes BlockHeader::Encode() const {
 }
 
 Hash32 BlockHeader::Hash() const { return Keccak256(Encode()); }
+
+Hash32 IndexedRoot(const std::vector<Bytes>& payloads) {
+  trie::Trie t;
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    Bytes key = rlp::Encode(rlp::Item::Scalar(static_cast<uint64_t>(i)));
+    t.Put(key, payloads[i]);
+  }
+  return t.RootHash();
+}
 
 Bytes Receipt::Encode() const {
   std::vector<rlp::Item> fields;

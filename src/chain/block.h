@@ -55,6 +55,9 @@ struct Block {
   Hash32 Hash() const { return header.Hash(); }
 };
 
+// Trie root over RLP(index) -> payload: the header tx/receipt root shape.
+Hash32 IndexedRoot(const std::vector<Bytes>& payloads);
+
 // Human-readable multi-line receipt summary (status, gas, contract address,
 // every LOG0–LOG4 entry with topics and data) — the CLI's receipt output.
 std::string DescribeReceipt(const Receipt& receipt);

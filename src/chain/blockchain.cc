@@ -9,7 +9,6 @@
 #include "chain/parallel_executor.h"
 #include "evm/gas.h"
 #include "obs/metrics.h"
-#include "rlp/rlp.h"
 #include "support/log.h"
 #include "trace/bounds.h"
 #include "trace/span_hook.h"
@@ -22,16 +21,6 @@ namespace {
 
 std::string HashKey(const Hash32& h) {
   return std::string(reinterpret_cast<const char*>(h.data()), h.size());
-}
-
-// Trie root over RLP(index) -> payload, Ethereum's tx/receipt root shape.
-Hash32 IndexedRoot(const std::vector<Bytes>& payloads) {
-  trie::Trie t;
-  for (size_t i = 0; i < payloads.size(); ++i) {
-    Bytes key = rlp::Encode(rlp::Item::Scalar(static_cast<uint64_t>(i)));
-    t.Put(key, payloads[i]);
-  }
-  return t.RootHash();
 }
 
 }  // namespace
@@ -70,6 +59,9 @@ Blockchain::Blockchain(ChainConfig config)
     obs::AuditorConfig sink_config;
     sink_config.fail_fast = audit_fatal;
     auditor_ = std::make_unique<ChainAuditor>(audit_spec, sink_config);
+    // The conservation and nonce invariants diff the accounts each block
+    // touched against their pre-block records.
+    state_.RecordAccountPreImages();
   }
   // An audited chain without a recorder would detect violations but capture
   // no evidence, so auditing implies a default-sized recorder unless one is
@@ -366,8 +358,8 @@ const Block& Blockchain::MineBlock() {
   std::vector<Transaction> txs =
       pool_.Take(config_.max_txs_per_block, config_.block_gas_limit);
   trace::Tracer* tracer = trace::Tracer::Global();
-  // Pre-execution capture: invariants snapshot the pre-block facts (balance
-  // sums, per-sender nonces) the post-commit checks compare against.
+  // Pre-execution capture point for invariants that need the pre-block
+  // state (account pre-images are recorded by the state itself).
   if (auditor_ != nullptr) auditor_->OnBlockStart(txs, state_);
 
   // The optimistic path needs at least two transactions to overlap and is
@@ -445,6 +437,8 @@ const Block& Blockchain::MineBlock() {
 
   if (auditor_ != nullptr) {
     auditor_->OnBlockCommit(block, block_receipts, state_);
+    // The next block's record starts here (mints before it included).
+    state_.ResetAccountPreImages();
   }
 
   if (node_store_ != nullptr) {

@@ -1,12 +1,12 @@
 #include "chain/chain_audit.h"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
-#include "rlp/rlp.h"
+#include "obs/metrics.h"
 #include "support/log.h"
 #include "trace/trace.h"
-#include "trie/trie.h"
 
 namespace onoff::chain {
 
@@ -14,17 +14,6 @@ namespace {
 
 std::string HashHex(const Hash32& h) {
   return ToHex0x(BytesView(h.data(), h.size()));
-}
-
-// Trie root over RLP(index) -> payload — the header tx/receipt root shape
-// (mirrors MineBlock's computation so the check is an independent replay).
-Hash32 IndexedRoot(const std::vector<Bytes>& payloads) {
-  trie::Trie t;
-  for (size_t i = 0; i < payloads.size(); ++i) {
-    Bytes key = rlp::Encode(rlp::Item::Scalar(static_cast<uint64_t>(i)));
-    t.Put(key, payloads[i]);
-  }
-  return t.RootHash();
 }
 
 uint64_t AmbientTraceId() { return trace::CurrentContext().trace_id; }
@@ -37,56 +26,54 @@ uint64_t TraceIdForTx(const Hash32& tx_hash) {
   return AmbientTraceId();
 }
 
+void CountAccountsChecked(size_t n) {
+  static obs::Counter* checked =
+      obs::GetCounterOrNull("audit.accounts_checked");
+  if (checked != nullptr) checked->Inc(n);
+}
+
 // ---- conservation --------------------------------------------------------
-// Sum of balances == initial sum + recorded mints: transactions move value
-// (sender → recipient, sender → coinbase fee) but never create it.
+// Transactions move value (sender → recipient, sender → coinbase fee) but
+// never create it: over the accounts the block touched, balances change by
+// exactly the mints recorded since the previous block (mod 2^256). The
+// reported totals count from the state the invariant first saw, which for
+// the chain's own auditor is the empty genesis state.
 class ConservationInvariant : public BlockInvariant {
  public:
   const char* name() const override { return "conservation"; }
 
-  void OnBlockStart(const std::vector<Transaction>& /*txs*/,
-                    const state::WorldState& state) override {
-    if (initialized_) return;
-    // Lazy baseline: whatever the chain holds when auditing starts (genesis
-    // allocations made before the auditor attached).
-    expected_ = TotalBalance(state);
-    initialized_ = true;
-  }
-
   void OnMint(const Address& /*addr*/, const U256& amount) override {
-    if (initialized_) expected_ = expected_ + amount;
-    // Pre-baseline mints are folded into the lazy initial sum.
+    minted_ = minted_ + amount;
   }
 
   void OnBlockCommit(const Block& block,
                      const std::vector<Receipt>& /*receipts*/,
                      const state::WorldState& state,
                      obs::Auditor& sink) override {
-    U256 actual = TotalBalance(state);
-    if (actual == expected_) return;
+    const state::AccountPreImages& touched = state.account_preimages();
+    CountAccountsChecked(touched.size());
+    U256 delta;
+    for (const auto& [addr, pre] : touched) {
+      delta = delta + (state.GetBalance(addr) - pre.balance);
+    }
+    U256 expected = total_ + minted_;
+    // Re-anchor so one corrupted block does not re-report forever.
+    total_ = total_ + delta;
+    minted_ = U256();
+    if (total_ == expected) return;
     obs::ViolationReport report;
     report.invariant = name();
     report.message = "sum of account balances diverged from minted supply";
     report.trace_id = AmbientTraceId();
     report.block_height = block.header.number;
-    report.values = {{"expected_total", expected_.ToHex()},
-                     {"actual_total", actual.ToHex()}};
+    report.values = {{"expected_total", expected.ToHex()},
+                     {"actual_total", total_.ToHex()}};
     sink.Report(std::move(report));
-    // Re-anchor so one corrupted block does not re-report forever.
-    expected_ = actual;
   }
 
  private:
-  static U256 TotalBalance(const state::WorldState& state) {
-    U256 total;
-    for (const Address& addr : state.Addresses()) {
-      total = total + state.GetBalance(addr);
-    }
-    return total;
-  }
-
-  bool initialized_ = false;
-  U256 expected_;
+  U256 total_;   // sum of balances after the last block
+  U256 minted_;  // mints since the last block
 };
 
 // ---- nonce ---------------------------------------------------------------
@@ -94,7 +81,9 @@ class ConservationInvariant : public BlockInvariant {
 // its transaction count and at least its successful-transaction count, and
 // an account with no transactions in the block keeps its nonce. (Reverted
 // calls consume a nonce but report success=false, so the bounds are a range,
-// not an equality.)
+// not an equality.) Only the accounts the block touched and its senders can
+// break these rules; an untouched sender keeps its nonce, which fails the
+// lower bound if it sent a successful transaction.
 class NonceInvariant : public BlockInvariant {
  public:
   const char* name() const override { return "nonce"; }
@@ -116,16 +105,13 @@ class NonceInvariant : public BlockInvariant {
       ++entry.count;
       if (i < receipts.size() && receipts[i].success) ++entry.successful;
     }
-    for (const Address& addr : state.Addresses()) {
+    std::vector<std::pair<Address, obs::ViolationReport>> found;
+    auto check = [&](const Address& addr, const state::AccountPreImage& pre) {
+      // New this block (a new sender, a contract created at nonce 1) or gone
+      // by its end: there is no baseline to compare against.
+      if (!pre.existed || !state.Exists(addr)) return;
+      uint64_t previous = pre.nonce;
       uint64_t nonce = state.GetNonce(addr);
-      auto tracked = last_nonce_.find(addr);
-      if (tracked == last_nonce_.end()) {
-        // First sight (new sender, contract created this block at nonce 1):
-        // the baseline starts here.
-        last_nonce_[addr] = nonce;
-        continue;
-      }
-      uint64_t previous = tracked->second;
       auto txs = by_sender.find(addr);
       uint64_t count = txs != by_sender.end() ? txs->second.count : 0;
       uint64_t successful =
@@ -146,30 +132,39 @@ class NonceInvariant : public BlockInvariant {
       } else if (!is_contract && nonce - previous < successful) {
         problem = "successful transactions did not all consume a nonce";
       }
-      if (!problem.empty()) {
-        obs::ViolationReport report;
-        report.invariant = name();
-        report.message = problem;
-        report.block_height = block.header.number;
-        if (count > 0) {
-          report.tx_hash = HashHex(txs->second.first_tx);
-          report.trace_id = TraceIdForTx(txs->second.first_tx);
-        } else {
-          report.trace_id = AmbientTraceId();
-        }
-        report.values = {{"account", addr.ToHex()},
-                         {"nonce_before", std::to_string(previous)},
-                         {"nonce_after", std::to_string(nonce)},
-                         {"txs_in_block", std::to_string(count)},
-                         {"successful_txs", std::to_string(successful)}};
-        sink.Report(std::move(report));
+      if (problem.empty()) return;
+      obs::ViolationReport report;
+      report.invariant = name();
+      report.message = problem;
+      report.block_height = block.header.number;
+      if (count > 0) {
+        report.tx_hash = HashHex(txs->second.first_tx);
+        report.trace_id = TraceIdForTx(txs->second.first_tx);
+      } else {
+        report.trace_id = AmbientTraceId();
       }
-      tracked->second = nonce;
+      report.values = {{"account", addr.ToHex()},
+                       {"nonce_before", std::to_string(previous)},
+                       {"nonce_after", std::to_string(nonce)},
+                       {"txs_in_block", std::to_string(count)},
+                       {"successful_txs", std::to_string(successful)}};
+      found.emplace_back(addr, std::move(report));
+    };
+    const state::AccountPreImages& touched = state.account_preimages();
+    size_t checked = touched.size();
+    for (const auto& [addr, pre] : touched) check(addr, pre);
+    for (const auto& [addr, txs] : by_sender) {
+      if (touched.count(addr) != 0) continue;
+      ++checked;
+      check(addr, {state.Exists(addr), U256(), state.GetNonce(addr)});
     }
+    CountAccountsChecked(checked);
+    // Address order, so the reports do not depend on hash-map order.
+    std::sort(found.begin(), found.end(), [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    });
+    for (auto& [addr, report] : found) sink.Report(std::move(report));
   }
-
- private:
-  std::map<Address, uint64_t> last_nonce_;
 };
 
 // ---- settlement ----------------------------------------------------------

@@ -8,11 +8,13 @@
 // Built-in invariants (spec names for ChainConfig::audit_invariants):
 //   conservation  — sum of account balances equals genesis plus recorded
 //                   mints: fees move value to the coinbase, they never
-//                   create it (checked after every block; O(accounts))
+//                   create it (checked after every block; O(touched
+//                   accounts))
 //   nonce         — per-sender nonce monotonicity: a block advances a
 //                   sender's nonce by at most its transaction count, at
 //                   least its successful count, and never changes the nonce
 //                   of an account with no transactions in the block
+//                   (O(touched accounts + senders))
 //   settlement    — no double settlement of a game id, and a completed
 //                   settlement pays the rightful winner
 //   receipt_root  — the committed header's tx/receipt roots match the
@@ -20,6 +22,12 @@
 //                   parallel-equivalence replay reports here before abort)
 //   timer         — block timestamps are monotonic; sim-bound disputes
 //                   resolve inside the challenge window on the virtual clock
+//
+// conservation and nonce read the state's per-block account pre-images
+// (WorldState::account_preimages), which an audited Blockchain records from
+// construction and resets after each block's OnBlockCommit; custom
+// invariants added through AddInvariant see the same record. On a state
+// that records no pre-images they see no account change at all.
 //
 // "all" (or the ONOFF_AUDIT environment variable, which CI sets) enables
 // every invariant.

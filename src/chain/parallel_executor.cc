@@ -42,8 +42,6 @@ std::vector<Receipt> ParallelExecutor::ExecuteBlock(
       obs::GetCounterOrNull("chain.parallel.speculated");
   static obs::Counter* committed =
       obs::GetCounterOrNull("chain.parallel.committed");
-  static obs::Counter* conflicts =
-      obs::GetCounterOrNull("chain.parallel.conflicts");
   static obs::Counter* reexecuted =
       obs::GetCounterOrNull("chain.parallel.reexecuted");
   static obs::Counter* static_clear =
@@ -109,7 +107,6 @@ std::vector<Receipt> ParallelExecutor::ExecuteBlock(
       committed_writes.MergeFrom(overlays[i]->writes());
       ++s.committed;
     } else {
-      ++s.conflicts;
       ++s.reexecuted;
       state::SpeculativeState retry(state);
       receipts[i] = execute(retry, txs[i]);
@@ -128,19 +125,17 @@ std::vector<Receipt> ParallelExecutor::ExecuteBlock(
     overlays[i].reset();
   }
   if (committed != nullptr) committed->Inc(s.committed);
-  if (conflicts != nullptr) conflicts->Inc(s.conflicts);
   if (reexecuted != nullptr) reexecuted->Inc(s.reexecuted);
   if (static_clear != nullptr && s.static_clear > 0)
     static_clear->Inc(s.static_clear);
   if (hint_violations != nullptr && s.hint_violations > 0)
     hint_violations->Inc(s.hint_violations);
-  wave_span.AddArg("conflicts", std::to_string(s.conflicts));
+  wave_span.AddArg("reexecuted", std::to_string(s.reexecuted));
   wave_span.AddArg("committed", std::to_string(s.committed));
   wave_span.AddArg("static_clear", std::to_string(s.static_clear));
   if (stats != nullptr) {
     stats->speculated += s.speculated;
     stats->committed += s.committed;
-    stats->conflicts += s.conflicts;
     stats->reexecuted += s.reexecuted;
     stats->static_clear += s.static_clear;
     stats->hint_violations += s.hint_violations;

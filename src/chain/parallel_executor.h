@@ -46,8 +46,8 @@ struct TxAccessHint {
 struct ParallelExecStats {
   size_t speculated = 0;   // speculative executions run in the wave
   size_t committed = 0;    // speculations committed verbatim
-  size_t conflicts = 0;    // speculations discarded on read/write conflict
-  size_t reexecuted = 0;   // serial re-executions (== conflicts)
+  size_t reexecuted = 0;   // speculations discarded on read/write conflict
+                           // and re-executed serially
   size_t static_clear = 0;     // commits proven conflict-free statically
   size_t hint_violations = 0;  // dynamic accesses escaping a known hint
 };

@@ -23,6 +23,14 @@ const Account* WorldState::Find(const Address& addr) const {
   return it == accounts_.end() ? nullptr : &it->second;
 }
 
+void WorldState::StorePreImage(const Address& addr) {
+  auto [it, inserted] = preimages_.try_emplace(addr);
+  if (!inserted) return;
+  if (const Account* acc = Find(addr)) {
+    it->second = AccountPreImage{true, acc->balance, acc->nonce};
+  }
+}
+
 Account& WorldState::GetOrCreate(const Address& addr) {
   auto it = accounts_.find(addr);
   if (it != accounts_.end()) return it->second;
@@ -35,9 +43,13 @@ bool WorldState::Exists(const Address& addr) const {
   return Find(addr) != nullptr;
 }
 
-void WorldState::CreateAccount(const Address& addr) { GetOrCreate(addr); }
+void WorldState::CreateAccount(const Address& addr) {
+  NotePreImage(addr);
+  GetOrCreate(addr);
+}
 
 void WorldState::DeleteAccount(const Address& addr) {
+  NotePreImage(addr);
   auto it = accounts_.find(addr);
   if (it == accounts_.end()) return;
   journal_.push_back(AccountDeleted{addr, std::move(it->second)});
@@ -53,6 +65,7 @@ U256 WorldState::GetBalance(const Address& addr) const {
 }
 
 void WorldState::AddBalance(const Address& addr, const U256& amount) {
+  NotePreImage(addr);
   Account& acc = GetOrCreate(addr);
   journal_.push_back(BalanceChange{addr, acc.balance});
   acc.balance += amount;
@@ -60,6 +73,7 @@ void WorldState::AddBalance(const Address& addr, const U256& amount) {
 }
 
 Status WorldState::SubBalance(const Address& addr, const U256& amount) {
+  NotePreImage(addr);
   Account& acc = GetOrCreate(addr);
   if (acc.balance < amount) {
     return Status::FailedPrecondition("insufficient balance");
@@ -71,6 +85,7 @@ Status WorldState::SubBalance(const Address& addr, const U256& amount) {
 }
 
 void WorldState::SetBalance(const Address& addr, const U256& amount) {
+  NotePreImage(addr);
   Account& acc = GetOrCreate(addr);
   journal_.push_back(BalanceChange{addr, acc.balance});
   acc.balance = amount;
@@ -83,6 +98,7 @@ uint64_t WorldState::GetNonce(const Address& addr) const {
 }
 
 void WorldState::SetNonce(const Address& addr, uint64_t nonce) {
+  NotePreImage(addr);
   Account& acc = GetOrCreate(addr);
   journal_.push_back(NonceChange{addr, acc.nonce});
   acc.nonce = nonce;
@@ -99,6 +115,7 @@ const Bytes& WorldState::GetCode(const Address& addr) const {
 }
 
 void WorldState::SetCode(const Address& addr, Bytes code) {
+  NotePreImage(addr);
   Account& acc = GetOrCreate(addr);
   journal_.push_back(CodeChange{addr, std::move(acc.code)});
   acc.code = std::move(code);

@@ -41,6 +41,16 @@ struct Account {
   }
 };
 
+// An account record as it stood before its first change since the last
+// WorldState::ResetAccountPreImages() — what the block auditor diffs the
+// post-block state against.
+struct AccountPreImage {
+  bool existed = false;
+  U256 balance;
+  uint64_t nonce = 0;
+};
+using AccountPreImages = std::unordered_map<Address, AccountPreImage>;
+
 class WorldState final : public StateView {
  public:
   using Snapshot = StateView::Snapshot;
@@ -54,7 +64,8 @@ class WorldState final : public StateView {
   WorldState(WorldState&&) = default;
   WorldState& operator=(WorldState&&) = default;
 
-  // An explicit deep copy of the accounts (the journal does not carry over).
+  // An explicit deep copy of the accounts (the journal and the pre-image
+  // record do not carry over).
   WorldState Clone() const;
 
   // ---- Account lifecycle ----
@@ -95,6 +106,20 @@ class WorldState final : public StateView {
   // Drops journal entries (e.g. at the end of a transaction); snapshots taken
   // before this call become invalid.
   void ClearJournal() override { journal_.clear(); }
+
+  // ---- Per-block account pre-images ----
+  // While switched on, the first change to an account record (existence,
+  // balance, nonce or code — not storage) since the last reset stores the
+  // record's prior {existed, balance, nonce}. Journal reverts need no
+  // handling: the stored pre-image stays valid and a reverted account
+  // simply diffs to zero. Off by default; the chain turns it on for an
+  // audited node and resets it after each block's audit, so the record
+  // holds exactly the accounts one block (plus any mints before it)
+  // touched.
+  void RecordAccountPreImages() { record_preimages_ = true; }
+  const AccountPreImages& account_preimages() const { return preimages_; }
+  // Drops the record and releases its memory.
+  void ResetAccountPreImages() { preimages_ = AccountPreImages(); }
 
   // ---- Commitment ----
   // keccak state root over the secure Merkle Patricia trie of RLP-encoded
@@ -191,6 +216,11 @@ class WorldState final : public StateView {
 
   const Account* Find(const Address& addr) const;
   Account& GetOrCreate(const Address& addr);
+  // Called before every account-record mutation.
+  void NotePreImage(const Address& addr) {
+    if (record_preimages_) StorePreImage(addr);
+  }
+  void StorePreImage(const Address& addr);
   storage::StateStore::AccountLookup StoreLookup() const;
 
   std::unordered_map<Address, Account> accounts_;
@@ -202,6 +232,8 @@ class WorldState final : public StateView {
   // commitment/proof methods above are NOT thread-safe on a shared
   // instance (see StateRoot()).
   mutable storage::StateStore store_;
+  bool record_preimages_ = false;
+  AccountPreImages preimages_;
 };
 
 }  // namespace onoff::state

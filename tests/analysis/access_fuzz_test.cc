@@ -406,7 +406,7 @@ TEST_F(ChainAccessFuzzTest, DisjointContractLeadersAreStaticallyClear) {
   EXPECT_EQ(after.hint_violations, 0u);
   EXPECT_EQ(after.static_clear - before.static_clear, 2u);
   // The followers really do collide on their contract's slot.
-  EXPECT_GT(after.conflicts - before.conflicts, 0u);
+  EXPECT_GT(after.reexecuted - before.reexecuted, 0u);
   EXPECT_EQ(parallel_.GetStorage(ca, U256(0x10)), U256(keys_.size() / 2));
   EXPECT_EQ(parallel_.GetStorage(cb, U256(0x20)), U256(keys_.size() / 2));
 }
@@ -440,7 +440,7 @@ TEST_F(ChainAccessFuzzTest, PerSenderSlotsMakeTheWholeBlockStaticallyClear) {
 
   const chain::ParallelExecStats& after = parallel_.parallel_stats();
   EXPECT_EQ(after.hint_violations, 0u);
-  EXPECT_EQ(after.conflicts - before.conflicts, 0u);
+  EXPECT_EQ(after.reexecuted - before.reexecuted, 0u);
   EXPECT_EQ(after.static_clear - before.static_clear, keys_.size());
   for (size_t i = 0; i < keys_.size(); ++i) {
     EXPECT_EQ(parallel_.GetStorage(contract, U256(0x50 + i)), U256(1));

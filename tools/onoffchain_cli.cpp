@@ -990,10 +990,7 @@ int CmdParexec(size_t senders, uint64_t blocks) {
     std::printf("  committed verbatim: %llu\n",
                 static_cast<unsigned long long>(
                     reg->CounterValue("chain.parallel.committed")));
-    std::printf("  conflicts:          %llu\n",
-                static_cast<unsigned long long>(
-                    reg->CounterValue("chain.parallel.conflicts")));
-    std::printf("  re-executed:        %llu\n",
+    std::printf("  conflicts re-run:   %llu\n",
                 static_cast<unsigned long long>(
                     reg->CounterValue("chain.parallel.reexecuted")));
   }
