@@ -135,9 +135,10 @@ class WorldState final : public StateView {
   // executor does.
   Hash32 StateRoot() const;
 
-  // From-scratch rebuild of the same root (the seed implementation) — the
-  // differential oracle the incremental engine is checked against. O(total
-  // accounts); use only in tests and benches.
+  // From-scratch rebuild of the same root (fresh tries built from the flat
+  // maps, no dirty tracking or memoized roots) — the differential oracle
+  // the incremental engine is checked against. O(total accounts); use only
+  // in tests and benches.
   Hash32 RebuildStateRoot() const;
 
   // A copy-on-write snapshot of the committed state (commits pending

@@ -55,7 +55,7 @@ void StateStore::CommitAccount(const Address& addr,
   if (pa.reset) {
     // Deleted-and-recreated (or restored) account: rebuild its storage trie
     // from the flat map.
-    pa.storage_trie = SecureSharedTrie();
+    pa.storage_trie = trie::SecureTrie();
     if (data->storage != nullptr) {
       for (const auto& [key, value] : *data->storage) {
         if (value.IsZero()) continue;

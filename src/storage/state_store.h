@@ -10,7 +10,7 @@
 // accounts cost nothing, so block-commit time scales with the number of
 // *touched* accounts, not with total state size.
 //
-// Committed tries are copy-on-write (storage/shared_trie.h): copying the
+// Committed tries are copy-on-write (trie/trie.h): copying the
 // store — and therefore WorldState::Clone() — shares every trie node, and
 // Snapshot() captures a historical root whose proofs stay valid while the
 // live state moves on. An optional NodeStore persists each block's new
@@ -31,11 +31,11 @@
 
 #include "crypto/keccak.h"
 #include "storage/node_store.h"
-#include "storage/shared_trie.h"
 #include "support/address.h"
 #include "support/bytes.h"
 #include "support/status.h"
 #include "support/u256.h"
+#include "trie/trie.h"
 
 namespace onoff::storage {
 
@@ -56,8 +56,8 @@ Bytes EncodeAccountRlp(const AccountData& account, const Hash32& storage_root);
 // later mutation — proofs verify against `root` forever.
 struct StateSnapshot {
   Hash32 root{};
-  SecureSharedTrie account_trie;
-  std::unordered_map<Address, SecureSharedTrie> storage_tries;
+  trie::SecureTrie account_trie;
+  std::unordered_map<Address, trie::SecureTrie> storage_tries;
 
   std::vector<Bytes> ProveAccount(const Address& addr) const {
     return account_trie.Prove(addr.view());
@@ -118,13 +118,10 @@ class StateStore {
 
   // Introspection for tests/benches.
   size_t TrackedAccounts() const { return per_account_.size(); }
-  size_t CountAccountTrieNodes() const {
-    return account_trie_.CountNodes();
-  }
 
  private:
   struct PerAccount {
-    SecureSharedTrie storage_trie;
+    trie::SecureTrie storage_trie;
     Hash32 storage_root{};  // memoized; valid when root_valid
     bool root_valid = false;
     std::unordered_set<U256> dirty_slots;
@@ -133,7 +130,7 @@ class StateStore {
 
   void CommitAccount(const Address& addr, const AccountLookup& lookup);
 
-  SecureSharedTrie account_trie_;
+  trie::SecureTrie account_trie_;
   std::unordered_map<Address, PerAccount> per_account_;
   std::unordered_set<Address> dirty_accounts_;
   Hash32 committed_root_{};

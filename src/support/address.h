@@ -79,10 +79,17 @@ class Address {
 template <>
 struct std::hash<onoff::Address> {
   size_t operator()(const onoff::Address& a) const noexcept {
-    // Addresses are keccak outputs: the first 8 bytes are already uniform.
-    size_t h;
-    std::memcpy(&h, a.bytes().data(), sizeof(h));
-    return h;
+    // Folds all 20 bytes: keccak-derived addresses are uniform anywhere,
+    // but addresses made from small words (precompiles, fixtures) differ
+    // only in their trailing bytes. Odd multipliers keep each part's
+    // contribution injective.
+    uint64_t head, mid;
+    uint32_t tail;
+    std::memcpy(&head, a.bytes().data(), sizeof(head));
+    std::memcpy(&mid, a.bytes().data() + 8, sizeof(mid));
+    std::memcpy(&tail, a.bytes().data() + 16, sizeof(tail));
+    return static_cast<size_t>(head ^ (mid * 0x9e3779b97f4a7c15ULL) ^
+                               (tail * 0xc2b2ae3d27d4eb4fULL));
   }
 };
 

@@ -1,46 +1,33 @@
 #include "trie/trie.h"
 
-#include <cassert>
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <mutex>
 
+#include "obs/metrics.h"
 #include "rlp/rlp.h"
 
 namespace onoff::trie {
 
 namespace internal {
 
+// Immutable after construction (mutated only while being built inside one
+// Insert/Delete call, before anyone else can see it). The memoized encoding
+// is write-once behind a once_flag so concurrent hashers of a shared
+// snapshot are safe.
 struct Node {
-  enum class Type { kLeaf, kExtension, kBranch };
+  enum class Type : uint8_t { kLeaf, kExtension, kBranch };
 
-  Type type;
-  // Nibble path for leaf/extension nodes.
-  std::vector<uint8_t> path;
-  // Leaf value, or the value slot of a branch.
-  Bytes value;
-  // Extension child.
-  std::unique_ptr<Node> child;
-  // Branch children.
-  std::array<std::unique_ptr<Node>, 16> children;
+  Type type = Type::kLeaf;
+  std::vector<uint8_t> path;  // leaf/extension
+  Bytes value;                // leaf value, or the value slot of a branch
+  NodeRef child;              // extension
+  std::array<NodeRef, 16> children;  // branch
 
-  static std::unique_ptr<Node> Leaf(std::vector<uint8_t> path, Bytes value) {
-    auto n = std::make_unique<Node>();
-    n->type = Type::kLeaf;
-    n->path = std::move(path);
-    n->value = std::move(value);
-    return n;
-  }
-  static std::unique_ptr<Node> Extension(std::vector<uint8_t> path,
-                                         std::unique_ptr<Node> child) {
-    auto n = std::make_unique<Node>();
-    n->type = Type::kExtension;
-    n->path = std::move(path);
-    n->child = std::move(child);
-    return n;
-  }
-  static std::unique_ptr<Node> Branch() {
-    auto n = std::make_unique<Node>();
-    n->type = Type::kBranch;
-    return n;
-  }
+  mutable std::once_flag enc_once;
+  mutable std::atomic<bool> enc_ready{false};
+  mutable Bytes enc;  // memoized RLP encoding
 };
 
 }  // namespace internal
@@ -48,7 +35,7 @@ struct Node {
 namespace {
 
 using internal::Node;
-using NodePtr = std::unique_ptr<Node>;
+using Type = Node::Type;
 using Nibbles = std::vector<uint8_t>;
 
 Nibbles Sub(const Nibbles& n, size_t from) {
@@ -61,202 +48,61 @@ size_t CommonPrefix(const Nibbles& a, const Nibbles& b) {
   return i;
 }
 
-// ---- Insert ----
-
-NodePtr InsertNode(NodePtr node, const Nibbles& key, Bytes value) {
-  if (node == nullptr) {
-    return Node::Leaf(key, std::move(value));
-  }
-  switch (node->type) {
-    case Node::Type::kLeaf: {
-      size_t cp = CommonPrefix(node->path, key);
-      if (cp == node->path.size() && cp == key.size()) {
-        node->value = std::move(value);
-        return node;
-      }
-      // Split into a branch (optionally under an extension for the shared
-      // prefix).
-      NodePtr branch = Node::Branch();
-      if (cp == node->path.size()) {
-        branch->value = std::move(node->value);
-      } else {
-        uint8_t idx = node->path[cp];
-        branch->children[idx] =
-            Node::Leaf(Sub(node->path, cp + 1), std::move(node->value));
-      }
-      if (cp == key.size()) {
-        branch->value = std::move(value);
-      } else {
-        uint8_t idx = key[cp];
-        branch->children[idx] = Node::Leaf(Sub(key, cp + 1), std::move(value));
-      }
-      if (cp > 0) {
-        Nibbles prefix(key.begin(), key.begin() + cp);
-        return Node::Extension(std::move(prefix), std::move(branch));
-      }
-      return branch;
-    }
-    case Node::Type::kExtension: {
-      size_t cp = CommonPrefix(node->path, key);
-      if (cp == node->path.size()) {
-        node->child = InsertNode(std::move(node->child), Sub(key, cp),
-                                 std::move(value));
-        return node;
-      }
-      // The extension splits.
-      NodePtr branch = Node::Branch();
-      uint8_t ext_idx = node->path[cp];
-      Nibbles ext_rest = Sub(node->path, cp + 1);
-      if (ext_rest.empty()) {
-        branch->children[ext_idx] = std::move(node->child);
-      } else {
-        branch->children[ext_idx] =
-            Node::Extension(std::move(ext_rest), std::move(node->child));
-      }
-      if (cp == key.size()) {
-        branch->value = std::move(value);
-      } else {
-        branch->children[key[cp]] =
-            Node::Leaf(Sub(key, cp + 1), std::move(value));
-      }
-      if (cp > 0) {
-        Nibbles prefix(key.begin(), key.begin() + cp);
-        return Node::Extension(std::move(prefix), std::move(branch));
-      }
-      return branch;
-    }
-    case Node::Type::kBranch: {
-      if (key.empty()) {
-        node->value = std::move(value);
-        return node;
-      }
-      uint8_t idx = key[0];
-      node->children[idx] = InsertNode(std::move(node->children[idx]),
-                                       Sub(key, 1), std::move(value));
-      return node;
-    }
-  }
-  return node;  // unreachable
+NodeRef MakeLeaf(Nibbles path, Bytes value) {
+  auto n = std::make_shared<Node>();
+  n->type = Type::kLeaf;
+  n->path = std::move(path);
+  n->value = std::move(value);
+  return n;
 }
 
-// ---- Delete ----
-
-// Re-collapses an extension whose child may have degenerated.
-NodePtr NormalizeExtension(NodePtr node) {
-  assert(node->type == Node::Type::kExtension);
-  Node* child = node->child.get();
-  if (child == nullptr) return nullptr;
-  switch (child->type) {
-    case Node::Type::kLeaf: {
-      Nibbles merged = node->path;
-      merged.insert(merged.end(), child->path.begin(), child->path.end());
-      return Node::Leaf(std::move(merged), std::move(child->value));
-    }
-    case Node::Type::kExtension: {
-      Nibbles merged = node->path;
-      merged.insert(merged.end(), child->path.begin(), child->path.end());
-      return Node::Extension(std::move(merged), std::move(child->child));
-    }
-    case Node::Type::kBranch:
-      return node;
-  }
-  return node;
+NodeRef MakeExtension(Nibbles path, NodeRef child) {
+  auto n = std::make_shared<Node>();
+  n->type = Type::kExtension;
+  n->path = std::move(path);
+  n->child = std::move(child);
+  return n;
 }
 
-// Collapses a branch left with a single child and no value, or only a value.
-NodePtr NormalizeBranch(NodePtr node) {
-  assert(node->type == Node::Type::kBranch);
-  int live = -1;
-  int count = 0;
-  for (int i = 0; i < 16; ++i) {
-    if (node->children[i] != nullptr) {
-      live = i;
-      ++count;
-    }
-  }
-  bool has_value = !node->value.empty();
-  if (count == 0 && !has_value) return nullptr;
-  if (count == 0 && has_value) {
-    return Node::Leaf(Nibbles{}, std::move(node->value));
-  }
-  if (count == 1 && !has_value) {
-    NodePtr child = std::move(node->children[live]);
-    Nibbles merged{static_cast<uint8_t>(live)};
-    switch (child->type) {
-      case Node::Type::kLeaf:
-        merged.insert(merged.end(), child->path.begin(), child->path.end());
-        return Node::Leaf(std::move(merged), std::move(child->value));
-      case Node::Type::kExtension:
-        merged.insert(merged.end(), child->path.begin(), child->path.end());
-        return Node::Extension(std::move(merged), std::move(child->child));
-      case Node::Type::kBranch:
-        return Node::Extension(std::move(merged), std::move(child));
-    }
-  }
-  return node;
+std::shared_ptr<Node> MakeBranch() {
+  auto n = std::make_shared<Node>();
+  n->type = Type::kBranch;
+  return n;
 }
 
-NodePtr DeleteNode(NodePtr node, const Nibbles& key) {
-  if (node == nullptr) return nullptr;
-  switch (node->type) {
-    case Node::Type::kLeaf:
-      if (node->path == key) return nullptr;
-      return node;
-    case Node::Type::kExtension: {
-      size_t cp = CommonPrefix(node->path, key);
-      if (cp != node->path.size()) return node;  // key not present
-      node->child = DeleteNode(std::move(node->child), Sub(key, cp));
-      if (node->child == nullptr) return nullptr;
-      return NormalizeExtension(std::move(node));
-    }
-    case Node::Type::kBranch: {
-      if (key.empty()) {
-        node->value.clear();
-      } else {
-        uint8_t idx = key[0];
-        node->children[idx] =
-            DeleteNode(std::move(node->children[idx]), Sub(key, 1));
-      }
-      return NormalizeBranch(std::move(node));
-    }
-  }
-  return node;  // unreachable
+// A mutable copy of a branch for path-copying: shares all children refs.
+std::shared_ptr<Node> CopyBranch(const Node& src) {
+  auto n = MakeBranch();
+  n->value = src.value;
+  n->children = src.children;
+  return n;
 }
 
-// ---- Lookup ----
-
-const Node* Find(const Node* node, const Nibbles& key, size_t pos) {
-  if (node == nullptr) return nullptr;
-  switch (node->type) {
-    case Node::Type::kLeaf: {
-      Nibbles rest(key.begin() + pos, key.end());
-      return node->path == rest ? node : nullptr;
-    }
-    case Node::Type::kExtension: {
-      if (key.size() - pos < node->path.size()) return nullptr;
-      for (size_t i = 0; i < node->path.size(); ++i) {
-        if (key[pos + i] != node->path[i]) return nullptr;
-      }
-      return Find(node->child.get(), key, pos + node->path.size());
-    }
-    case Node::Type::kBranch: {
-      if (pos == key.size()) {
-        return node->value.empty() ? nullptr : node;
-      }
-      return Find(node->children[key[pos]].get(), key, pos + 1);
-    }
-  }
-  return nullptr;  // unreachable
-}
-
-// ---- Hashing ----
+// ---- Hashing (memoized per node) ----
 
 Bytes EncodeNode(const Node* node);
 
-// A node reference inside a parent: raw encoding if < 32 bytes, else the
-// 32-byte keccak wrapped as an RLP string.
+const Bytes& EncodedMemo(const Node* node) {
+  if (node->enc_ready.load(std::memory_order_acquire)) {
+    static obs::Counter* hits =
+        obs::GetCounterOrNull("storage.trie_node_cache_hits");
+    if (hits != nullptr) hits->Inc();
+    return node->enc;
+  }
+  std::call_once(node->enc_once, [node] {
+    node->enc = EncodeNode(node);
+    node->enc_ready.store(true, std::memory_order_release);
+    static obs::Counter* computed =
+        obs::GetCounterOrNull("storage.trie_nodes_hashed");
+    if (computed != nullptr) computed->Inc();
+  });
+  return node->enc;
+}
+
+// Node reference inside a parent: raw encoding if < 32 bytes, else the
+// keccak wrapped as an RLP string.
 Bytes RefNode(const Node* node) {
-  Bytes enc = EncodeNode(node);
+  const Bytes& enc = EncodedMemo(node);
   if (enc.size() < 32) return enc;  // embedded structurally
   Hash32 h = Keccak256(enc);
   return rlp::EncodeString(BytesView(h.data(), h.size()));
@@ -264,19 +110,21 @@ Bytes RefNode(const Node* node) {
 
 Bytes EncodeNode(const Node* node) {
   switch (node->type) {
-    case Node::Type::kLeaf: {
+    case Type::kLeaf: {
       std::vector<Bytes> fields;
-      fields.push_back(rlp::EncodeString(HexPrefixEncode(node->path, true)));
+      fields.push_back(
+          rlp::EncodeString(HexPrefixEncode(node->path, true)));
       fields.push_back(rlp::EncodeString(node->value));
       return rlp::EncodeList(fields);
     }
-    case Node::Type::kExtension: {
+    case Type::kExtension: {
       std::vector<Bytes> fields;
-      fields.push_back(rlp::EncodeString(HexPrefixEncode(node->path, false)));
+      fields.push_back(
+          rlp::EncodeString(HexPrefixEncode(node->path, false)));
       fields.push_back(RefNode(node->child.get()));
       return rlp::EncodeList(fields);
     }
-    case Node::Type::kBranch: {
+    case Type::kBranch: {
       std::vector<Bytes> fields;
       for (int i = 0; i < 16; ++i) {
         if (node->children[i] == nullptr) {
@@ -290,6 +138,282 @@ Bytes EncodeNode(const Node* node) {
     }
   }
   return {};  // unreachable
+}
+
+// ---- Insert (path-copying) ----
+
+bool SameValue(const Bytes& a, BytesView b) {
+  return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
+}
+
+// Returns the original reference unchanged when the write is a no-op, so
+// untouched spines keep their memoized encodings.
+NodeRef Insert(const NodeRef& node, const Nibbles& key, BytesView value) {
+  if (node == nullptr) {
+    return MakeLeaf(key, Bytes(value.begin(), value.end()));
+  }
+  switch (node->type) {
+    case Type::kLeaf: {
+      size_t cp = CommonPrefix(node->path, key);
+      if (cp == node->path.size() && cp == key.size()) {
+        if (SameValue(node->value, value)) return node;
+        return MakeLeaf(key, Bytes(value.begin(), value.end()));
+      }
+      // Split into a branch (optionally under an extension for the shared
+      // prefix).
+      auto branch = MakeBranch();
+      if (cp == node->path.size()) {
+        branch->value = node->value;
+      } else {
+        uint8_t idx = node->path[cp];
+        branch->children[idx] = MakeLeaf(Sub(node->path, cp + 1), node->value);
+      }
+      if (cp == key.size()) {
+        branch->value = Bytes(value.begin(), value.end());
+      } else {
+        uint8_t idx = key[cp];
+        branch->children[idx] =
+            MakeLeaf(Sub(key, cp + 1), Bytes(value.begin(), value.end()));
+      }
+      if (cp > 0) {
+        return MakeExtension(Nibbles(key.begin(), key.begin() + cp),
+                             std::move(branch));
+      }
+      return branch;
+    }
+    case Type::kExtension: {
+      size_t cp = CommonPrefix(node->path, key);
+      if (cp == node->path.size()) {
+        NodeRef updated = Insert(node->child, Sub(key, cp), value);
+        if (updated == node->child) return node;
+        return MakeExtension(node->path, std::move(updated));
+      }
+      // The extension splits; the old child subtree is shared as-is.
+      auto branch = MakeBranch();
+      uint8_t ext_idx = node->path[cp];
+      Nibbles ext_rest = Sub(node->path, cp + 1);
+      if (ext_rest.empty()) {
+        branch->children[ext_idx] = node->child;
+      } else {
+        branch->children[ext_idx] =
+            MakeExtension(std::move(ext_rest), node->child);
+      }
+      if (cp == key.size()) {
+        branch->value = Bytes(value.begin(), value.end());
+      } else {
+        branch->children[key[cp]] =
+            MakeLeaf(Sub(key, cp + 1), Bytes(value.begin(), value.end()));
+      }
+      if (cp > 0) {
+        return MakeExtension(Nibbles(key.begin(), key.begin() + cp),
+                             std::move(branch));
+      }
+      return branch;
+    }
+    case Type::kBranch: {
+      if (key.empty()) {
+        if (SameValue(node->value, value)) return node;
+        auto copy = CopyBranch(*node);
+        copy->value = Bytes(value.begin(), value.end());
+        return copy;
+      }
+      uint8_t idx = key[0];
+      NodeRef updated = Insert(node->children[idx], Sub(key, 1), value);
+      if (updated == node->children[idx]) return node;
+      auto copy = CopyBranch(*node);
+      copy->children[idx] = std::move(updated);
+      return copy;
+    }
+  }
+  return node;  // unreachable
+}
+
+// ---- Delete (path-copying) ----
+
+// Re-collapses an extension over a possibly degenerated child. `path` and
+// `child` describe the candidate extension (not yet constructed).
+NodeRef NormalizeExtension(const Nibbles& path, NodeRef child) {
+  switch (child->type) {
+    case Type::kLeaf: {
+      Nibbles merged = path;
+      merged.insert(merged.end(), child->path.begin(), child->path.end());
+      return MakeLeaf(std::move(merged), child->value);
+    }
+    case Type::kExtension: {
+      Nibbles merged = path;
+      merged.insert(merged.end(), child->path.begin(), child->path.end());
+      return MakeExtension(std::move(merged), child->child);
+    }
+    case Type::kBranch:
+      return MakeExtension(path, std::move(child));
+  }
+  return nullptr;  // unreachable
+}
+
+// Collapses a fresh branch copy left with a single child and no value, or
+// only a value.
+NodeRef NormalizeBranch(std::shared_ptr<Node> node) {
+  int live = -1;
+  int count = 0;
+  for (int i = 0; i < 16; ++i) {
+    if (node->children[i] != nullptr) {
+      live = i;
+      ++count;
+    }
+  }
+  bool has_value = !node->value.empty();
+  if (count == 0 && !has_value) return nullptr;
+  if (count == 0 && has_value) return MakeLeaf(Nibbles{}, node->value);
+  if (count == 1 && !has_value) {
+    NodeRef child = node->children[live];
+    Nibbles merged{static_cast<uint8_t>(live)};
+    return NormalizeExtension(merged, std::move(child));
+  }
+  return node;
+}
+
+NodeRef Remove(const NodeRef& node, const Nibbles& key) {
+  if (node == nullptr) return nullptr;
+  switch (node->type) {
+    case Type::kLeaf:
+      if (node->path == key) return nullptr;
+      return node;  // key not present: unchanged
+    case Type::kExtension: {
+      size_t cp = CommonPrefix(node->path, key);
+      if (cp != node->path.size()) return node;  // key not present
+      NodeRef updated = Remove(node->child, Sub(key, cp));
+      if (updated == node->child) return node;
+      if (updated == nullptr) return nullptr;
+      return NormalizeExtension(node->path, std::move(updated));
+    }
+    case Type::kBranch: {
+      if (key.empty()) {
+        if (node->value.empty()) return node;  // nothing to delete
+        auto copy = CopyBranch(*node);
+        copy->value.clear();
+        return NormalizeBranch(std::move(copy));
+      }
+      uint8_t idx = key[0];
+      NodeRef updated = Remove(node->children[idx], Sub(key, 1));
+      if (updated == node->children[idx]) return node;
+      auto copy = CopyBranch(*node);
+      copy->children[idx] = std::move(updated);
+      return NormalizeBranch(std::move(copy));
+    }
+  }
+  return node;  // unreachable
+}
+
+// ---- Lookup ----
+
+// Follows `key` down from `node`, calling `visit` on every node on the
+// path. Returns the node holding the key's value, or null when absent.
+template <typename Visit>
+const Node* Follow(const Node* node, const Nibbles& key, Visit visit) {
+  size_t pos = 0;
+  while (node != nullptr) {
+    visit(node);
+    switch (node->type) {
+      case Type::kLeaf:
+        return std::equal(node->path.begin(), node->path.end(),
+                          key.begin() + pos, key.end())
+                   ? node
+                   : nullptr;
+      case Type::kExtension:
+        if (key.size() - pos < node->path.size() ||
+            !std::equal(node->path.begin(), node->path.end(),
+                        key.begin() + pos)) {
+          return nullptr;
+        }
+        pos += node->path.size();
+        node = node->child.get();
+        break;
+      case Type::kBranch:
+        if (pos == key.size()) return node->value.empty() ? nullptr : node;
+        node = node->children[key[pos++]].get();
+        break;
+    }
+  }
+  return nullptr;
+}
+
+// ---- Persistence walk ----
+
+// Hash references physically contained in this node's record: hashed child
+// refs (embedded descendants' included — an embedded node rides inside this
+// record and can itself only reference further embedded nodes or nothing,
+// since a hash ref alone is 33 encoded bytes) plus leaf-value extras.
+void CollectRecordRefs(const Node* node, const LeafRefs& leaf_refs,
+                       std::vector<Hash32>* out) {
+  switch (node->type) {
+    case Type::kLeaf:
+      if (leaf_refs != nullptr) {
+        for (Hash32& h : leaf_refs(node->value)) out->push_back(h);
+      }
+      return;
+    case Type::kExtension: {
+      const Bytes& enc = EncodedMemo(node->child.get());
+      if (enc.size() >= 32) {
+        out->push_back(Keccak256(enc));
+      } else {
+        CollectRecordRefs(node->child.get(), leaf_refs, out);
+      }
+      return;
+    }
+    case Type::kBranch: {
+      for (const NodeRef& child : node->children) {
+        if (child == nullptr) continue;
+        const Bytes& enc = EncodedMemo(child.get());
+        if (enc.size() >= 32) {
+          out->push_back(Keccak256(enc));
+        } else {
+          CollectRecordRefs(child.get(), leaf_refs, out);
+        }
+      }
+      if (!node->value.empty() && leaf_refs != nullptr) {
+        for (Hash32& h : leaf_refs(node->value)) out->push_back(h);
+      }
+      return;
+    }
+  }
+}
+
+void ForEachHashedChild(const Node* node,
+                        const std::function<void(const NodeRef&)>& fn) {
+  auto visit = [&fn](const NodeRef& child) {
+    if (child != nullptr && EncodedMemo(child.get()).size() >= 32) fn(child);
+  };
+  if (node->type == Type::kExtension) visit(node->child);
+  if (node->type == Type::kBranch) {
+    for (const NodeRef& child : node->children) visit(child);
+  }
+}
+
+void PersistWalk(const NodeRef& node, const PersistKnown& known,
+                 const PersistEmit& emit, const LeafRefs& leaf_refs,
+                 bool is_root) {
+  const Bytes& enc = EncodedMemo(node.get());
+  // Embedded nodes travel inside their parent's record; only the root is
+  // stored standalone regardless of size (it is referenced by hash).
+  if (!is_root && enc.size() < 32) return;
+  Hash32 h = Keccak256(enc);
+  if (known(h)) return;  // subtree already stored (and its refs counted)
+  ForEachHashedChild(node.get(), [&](const NodeRef& child) {
+    PersistWalk(child, known, emit, leaf_refs, false);
+  });
+  std::vector<Hash32> refs;
+  CollectRecordRefs(node.get(), leaf_refs, &refs);
+  emit(h, enc, refs);
+}
+
+size_t Count(const Node* node) {
+  if (node == nullptr) return 0;
+  size_t n = 1;
+  if (node->type == Type::kExtension) n += Count(node->child.get());
+  if (node->type == Type::kBranch) {
+    for (const NodeRef& child : node->children) n += Count(child.get());
+  }
+  return n;
 }
 
 }  // namespace
@@ -338,70 +462,20 @@ std::vector<uint8_t> BytesToNibbles(BytesView key) {
   return out;
 }
 
-std::vector<Bytes> Trie::Prove(BytesView key) const {
-  std::vector<Bytes> proof;
-  Nibbles nibbles = BytesToNibbles(key);
-  const Node* node = root_.get();
-  size_t pos = 0;
-  bool is_root = true;
-  while (node != nullptr) {
-    Bytes enc = EncodeNode(node);
-    // Hashed nodes (and always the root) are standalone proof elements;
-    // embedded nodes travel inside their parent's encoding.
-    if (is_root || enc.size() >= 32) proof.push_back(std::move(enc));
-    is_root = false;
-    switch (node->type) {
-      case Node::Type::kLeaf:
-        return proof;
-      case Node::Type::kExtension: {
-        if (nibbles.size() - pos < node->path.size()) return proof;
-        for (size_t i = 0; i < node->path.size(); ++i) {
-          if (nibbles[pos + i] != node->path[i]) return proof;
-        }
-        pos += node->path.size();
-        node = node->child.get();
-        break;
-      }
-      case Node::Type::kBranch: {
-        if (pos == nibbles.size()) return proof;
-        node = node->children[nibbles[pos]].get();
-        ++pos;
-        break;
-      }
-    }
-  }
-  return proof;
-}
-
-Result<std::optional<Bytes>> Trie::VerifyProof(const Hash32& root,
-                                               BytesView key,
-                                               const std::vector<Bytes>& proof) {
-  Nibbles nibbles = BytesToNibbles(key);
-  if (proof.empty()) {
-    // Only valid as an exclusion proof for the empty trie.
-    if (root == EmptyRoot()) return std::optional<Bytes>(std::nullopt);
-    return Status::VerificationFailed("empty proof for non-empty root");
-  }
-
-  size_t idx = 0;
-  Hash32 expected = root;
-  // Decode the next standalone proof node, checking its hash.
-  auto next_node = [&]() -> Result<rlp::Item> {
-    if (idx >= proof.size()) {
-      return Status::VerificationFailed("proof truncated");
-    }
-    const Bytes& enc = proof[idx++];
-    if (Keccak256(enc) != expected) {
-      return Status::VerificationFailed("proof node hash mismatch");
-    }
+Result<std::optional<Bytes>> Descend(const Hash32& root, BytesView key,
+                                     const NodeResolver& resolve) {
+  using Found = std::optional<Bytes>;
+  const Nibbles nibbles = BytesToNibbles(key);
+  auto load = [&resolve](const Hash32& hash) -> Result<rlp::Item> {
+    ONOFF_ASSIGN_OR_RETURN(Bytes enc, resolve(hash));
     return rlp::Decode(enc);
   };
 
-  ONOFF_ASSIGN_OR_RETURN(rlp::Item item, next_node());
+  ONOFF_ASSIGN_OR_RETURN(rlp::Item item, load(root));
   size_t pos = 0;
   for (;;) {
     if (!item.IsList()) {
-      return Status::VerificationFailed("proof node is not a list");
+      return Status::VerificationFailed("trie node is not a list");
     }
     const std::vector<rlp::Item>& fields = item.list();
     const rlp::Item* next_ref = nullptr;
@@ -416,13 +490,13 @@ Result<std::optional<Bytes>> Trie::VerifyProof(const Hash32& root,
         if (!fields[1].IsString()) {
           return Status::VerificationFailed("malformed leaf value");
         }
-        if (hp.nibbles == rest) return std::optional<Bytes>(fields[1].string());
-        return std::optional<Bytes>(std::nullopt);  // absence proven
+        if (hp.nibbles == rest) return Found(fields[1].string());
+        return Found(std::nullopt);  // absence proven
       }
       // Extension.
       if (rest.size() < hp.nibbles.size() ||
           !std::equal(hp.nibbles.begin(), hp.nibbles.end(), rest.begin())) {
-        return std::optional<Bytes>(std::nullopt);
+        return Found(std::nullopt);
       }
       pos += hp.nibbles.size();
       next_ref = &fields[1];
@@ -431,71 +505,104 @@ Result<std::optional<Bytes>> Trie::VerifyProof(const Hash32& root,
         if (!fields[16].IsString()) {
           return Status::VerificationFailed("malformed branch value");
         }
-        if (fields[16].string().empty()) {
-          return std::optional<Bytes>(std::nullopt);
-        }
-        return std::optional<Bytes>(fields[16].string());
+        if (fields[16].string().empty()) return Found(std::nullopt);
+        return Found(fields[16].string());
       }
       next_ref = &fields[nibbles[pos]];
       ++pos;
       if (next_ref->IsString() && next_ref->string().empty()) {
-        return std::optional<Bytes>(std::nullopt);  // dead end: absent
+        return Found(std::nullopt);  // dead end: absent
       }
     } else {
-      return Status::VerificationFailed("proof node has bad arity");
+      return Status::VerificationFailed("trie node has bad arity");
     }
 
-    // Resolve the child reference: a 32-byte hash points at the next proof
-    // element; a nested list is an embedded node.
+    // Resolve the child reference: a 32-byte hash names the next node; a
+    // nested list is an embedded node.
     if (next_ref->IsList()) {
       // next_ref aliases item's own list — detach it before the assignment
       // destroys its storage.
       rlp::Item embedded = *next_ref;
       item = std::move(embedded);
     } else if (next_ref->IsString() && next_ref->string().size() == 32) {
+      Hash32 child;
       std::copy(next_ref->string().begin(), next_ref->string().end(),
-                expected.begin());
-      ONOFF_ASSIGN_OR_RETURN(item, next_node());
+                child.begin());
+      ONOFF_ASSIGN_OR_RETURN(item, load(child));
     } else {
       return Status::VerificationFailed("malformed child reference");
     }
   }
 }
 
-Trie::Trie() = default;
-Trie::~Trie() = default;
-Trie::Trie(Trie&&) noexcept = default;
-Trie& Trie::operator=(Trie&&) noexcept = default;
-
 void Trie::Put(BytesView key, BytesView value) {
   Nibbles nibbles = BytesToNibbles(key);
   if (value.empty()) {
-    root_ = DeleteNode(std::move(root_), nibbles);
+    root_ = Remove(root_, nibbles);
     return;
   }
-  root_ = InsertNode(std::move(root_), nibbles,
-                     Bytes(value.begin(), value.end()));
+  root_ = Insert(root_, nibbles, value);
 }
 
 void Trie::Delete(BytesView key) {
-  root_ = DeleteNode(std::move(root_), BytesToNibbles(key));
+  root_ = Remove(root_, BytesToNibbles(key));
 }
 
 Result<Bytes> Trie::Get(BytesView key) const {
-  Nibbles nibbles = BytesToNibbles(key);
-  const Node* n = Find(root_.get(), nibbles, 0);
+  const Node* n = Follow(root_.get(), BytesToNibbles(key), [](const Node*) {});
   if (n == nullptr) return Status::NotFound("key not in trie");
   return n->value;
 }
 
 Hash32 Trie::RootHash() const {
   if (root_ == nullptr) return EmptyRoot();
-  return Keccak256(EncodeNode(root_.get()));
+  return Keccak256(EncodedMemo(root_.get()));
+}
+
+std::vector<Bytes> Trie::Prove(BytesView key) const {
+  std::vector<Bytes> proof;
+  Follow(root_.get(), BytesToNibbles(key), [&proof](const Node* node) {
+    // Hashed nodes (and always the root) are standalone proof elements;
+    // embedded nodes travel inside their parent's encoding.
+    const Bytes& enc = EncodedMemo(node);
+    if (proof.empty() || enc.size() >= 32) proof.push_back(enc);
+  });
+  return proof;
+}
+
+Result<std::optional<Bytes>> Trie::VerifyProof(const Hash32& root,
+                                               BytesView key,
+                                               const std::vector<Bytes>& proof) {
+  if (proof.empty()) {
+    // Only valid as an exclusion proof for the empty trie.
+    if (root == EmptyRoot()) return std::optional<Bytes>(std::nullopt);
+    return Status::VerificationFailed("empty proof for non-empty root");
+  }
+  // Each hashed node is the next proof element, checked against its hash.
+  size_t next = 0;
+  return Descend(root, key, [&](const Hash32& expected) -> Result<Bytes> {
+    if (next >= proof.size()) {
+      return Status::VerificationFailed("proof truncated");
+    }
+    const Bytes& enc = proof[next++];
+    if (Keccak256(enc) != expected) {
+      return Status::VerificationFailed("proof node hash mismatch");
+    }
+    return enc;
+  });
 }
 
 Hash32 Trie::EmptyRoot() {
   static const Hash32 kEmpty = Keccak256(rlp::EncodeString(Bytes{}));
   return kEmpty;
 }
+
+void Trie::PersistNodes(const PersistKnown& known, const PersistEmit& emit,
+                        const LeafRefs& leaf_refs) const {
+  if (root_ == nullptr) return;
+  PersistWalk(root_, known, emit, leaf_refs, /*is_root=*/true);
+}
+
+size_t Trie::CountNodes() const { return Count(root_.get()); }
 
 }  // namespace onoff::trie

@@ -5,11 +5,22 @@
 // embed-if-shorter-than-32-bytes node reference rule, so root hashes match
 // Ethereum exactly. `SecureTrie` hashes keys with keccak256 first, which is
 // what the world state and per-account storage tries use.
+//
+// Nodes are immutable and structurally shared (`shared_ptr<const Node>`).
+// Mutation is path-copying: Put/Delete rebuild only the spine from the root
+// to the touched leaf and share every untouched subtree with the previous
+// version. Each node memoizes its RLP encoding (and therefore its keccak
+// reference) the first time it is hashed, so recomputing the root after k
+// changed keys re-hashes O(k · depth) nodes instead of the whole trie.
+//
+// Copying a Trie is O(1) and yields an independent snapshot: the copy and
+// the original share all nodes until one of them writes. This is what makes
+// per-block state snapshots and `WorldState::Clone()` cheap.
 
 #ifndef ONOFFCHAIN_TRIE_TRIE_H_
 #define ONOFFCHAIN_TRIE_TRIE_H_
 
-#include <array>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -24,16 +35,28 @@ namespace internal {
 struct Node;
 }  // namespace internal
 
+using NodeRef = std::shared_ptr<const internal::Node>;
+
+// Called for every hashed (standalone) node during a persistence walk:
+// (node hash, RLP encoding, hashes this record references). References are
+// the node's hashed children plus any extra references reported by
+// `LeafRefs` for leaf values physically contained in this record (embedded
+// descendants included) — the node-store refcounts prune exactly on these.
+using PersistEmit = std::function<void(
+    const Hash32&, const Bytes&, const std::vector<Hash32>&)>;
+// Returns true when the store already holds this node; the walk then skips
+// the whole subtree (a node's references were counted when it was first
+// stored).
+using PersistKnown = std::function<bool(const Hash32&)>;
+// Extra hash references carried inside a leaf value (the account RLP's
+// storage root); may be null.
+using LeafRefs = std::function<std::vector<Hash32>(BytesView leaf_value)>;
+
 class Trie {
  public:
-  Trie();
-  ~Trie();
-  Trie(Trie&&) noexcept;
-  Trie& operator=(Trie&&) noexcept;
-  Trie(const Trie&) = delete;
-  Trie& operator=(const Trie&) = delete;
-
   // Inserts or overwrites; an empty value deletes the key (Ethereum rule).
+  // Writing the value a key already holds is a no-op that preserves every
+  // existing node (and its memoized hash).
   void Put(BytesView key, BytesView value);
   // Removes the key if present.
   void Delete(BytesView key);
@@ -41,8 +64,9 @@ class Trie {
   Result<Bytes> Get(BytesView key) const;
   bool Contains(BytesView key) const { return Get(key).ok(); }
 
-  // Keccak commitment to the whole content. Order-independent: any insert
-  // sequence producing the same map yields the same root.
+  // Keccak commitment to the whole content; only nodes without a memoized
+  // encoding are hashed. Order-independent: any insert sequence producing
+  // the same map yields the same root.
   Hash32 RootHash() const;
 
   // keccak256(rlp("")) — the root of an empty trie.
@@ -61,8 +85,22 @@ class Trie {
   static Result<std::optional<Bytes>> VerifyProof(
       const Hash32& root, BytesView key, const std::vector<Bytes>& proof);
 
+  // Walks the trie emitting every hashed node the store does not know yet
+  // (children before parents). The root is always emitted when unknown,
+  // even if its encoding is shorter than 32 bytes, because account records
+  // reference storage roots by hash unconditionally.
+  void PersistNodes(const PersistKnown& known, const PersistEmit& emit,
+                    const LeafRefs& leaf_refs = nullptr) const;
+
+  // The root reference — identity comparisons let tests assert structural
+  // sharing (same pointer == same subtree, byte-for-byte).
+  const NodeRef& root() const { return root_; }
+
+  // Number of reachable nodes (test/bench introspection; O(n)).
+  size_t CountNodes() const;
+
  private:
-  std::unique_ptr<internal::Node> root_;
+  NodeRef root_;
 };
 
 // Trie keyed by keccak256(key): used for state and storage tries.
@@ -94,6 +132,12 @@ class SecureTrie {
     return Trie::VerifyProof(root, BytesView(h.data(), h.size()), proof);
   }
 
+  void PersistNodes(const PersistKnown& known, const PersistEmit& emit,
+                    const LeafRefs& leaf_refs = nullptr) const {
+    inner_.PersistNodes(known, emit, leaf_refs);
+  }
+  size_t CountNodes() const { return inner_.CountNodes(); }
+
  private:
   Trie inner_;
 };
@@ -107,6 +151,18 @@ struct HexPrefixPath {
 };
 Result<HexPrefixPath> HexPrefixDecode(BytesView encoded);
 std::vector<uint8_t> BytesToNibbles(BytesView key);
+
+// Resolves a node hash to the node's RLP encoding: the next element of a
+// proof, or a record of a node store.
+using NodeResolver = std::function<Result<Bytes>(const Hash32&)>;
+
+// The one decoder of encoded trie nodes. Descends from the node `root`
+// resolves to along `key`, resolving every hashed child the same way and
+// decoding embedded children in place. Returns the value, nullopt when the
+// path proves the key absent, or an error for a malformed node or a failed
+// resolution. Node bytes may be untrusted: nothing is assumed about them.
+Result<std::optional<Bytes>> Descend(const Hash32& root, BytesView key,
+                                     const NodeResolver& resolve);
 
 }  // namespace onoff::trie
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
+#include "support/address.h"
+
 namespace onoff {
 namespace {
 
@@ -47,6 +51,16 @@ TEST(BytesTest, ConstantTimeEqual) {
 TEST(BytesTest, BytesOf) {
   EXPECT_EQ(BytesOf("ab"), (Bytes{'a', 'b'}));
   EXPECT_TRUE(BytesOf("").empty());
+}
+
+TEST(AddressTest, HashSpreadsSmallWordAddresses) {
+  // Addresses from small words differ only in their last bytes; a hash of
+  // the leading bytes alone maps them all to one value.
+  std::unordered_set<size_t> hashes;
+  for (uint64_t i = 0; i < 4096; ++i) {
+    hashes.insert(std::hash<Address>{}(Address::FromWord(U256(i))));
+  }
+  EXPECT_EQ(hashes.size(), 4096u);
 }
 
 }  // namespace

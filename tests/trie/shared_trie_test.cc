@@ -1,4 +1,4 @@
-#include "storage/shared_trie.h"
+#include "trie/trie.h"
 
 #include <gtest/gtest.h>
 
@@ -8,48 +8,46 @@
 #include <thread>
 #include <vector>
 
+#include "reference_trie.h"
 #include "support/bytes.h"
-#include "trie/trie.h"
 
-namespace onoff::storage {
+namespace onoff::trie {
 namespace {
 
-std::string RootHex(const Hash32& h) {
+std::string RootHex(const Trie& t) {
+  Hash32 h = t.RootHash();
   return ToHex(BytesView(h.data(), h.size()));
 }
 
-TEST(SharedTrieTest, EmptyRootMatchesEthereum) {
-  SharedTrie t;
-  EXPECT_TRUE(t.IsEmpty());
-  EXPECT_EQ(t.RootHash(), trie::Trie::EmptyRoot());
-  EXPECT_EQ(RootHex(t.RootHash()),
-            "56e81f171bcc55a6ff8345e692c0f86e5b48e01b996cadc001622fb5e363b421");
-}
+// Copy-on-write structure: snapshots, structural sharing, concurrent hashing
+// and the persist walk, checked against the test-only reference trie.
 
-TEST(SharedTrieTest, KnownVectorsMatchSeedTrie) {
-  // The canonical MPT documentation example, plus the seed trie on the same
-  // content — roots must be byte-identical.
-  SharedTrie shared;
-  trie::Trie seed;
+using testing::ReferenceTrie;
+
+TEST(CowTrieTest, KnownVectorsMatchReferenceTrie) {
+  // The canonical MPT documentation example, plus the reference trie on the
+  // same content — roots must be byte-identical.
+  Trie cow;
+  ReferenceTrie ref;
   for (const char* kv : {"doe/reindeer", "dog/puppy", "dogglesworth/cat"}) {
     std::string s(kv);
     size_t slash = s.find('/');
     Bytes k = BytesOf(s.substr(0, slash));
     Bytes v = BytesOf(s.substr(slash + 1));
-    shared.Put(k, v);
-    seed.Put(k, v);
+    cow.Put(k, v);
+    ref.Put(k, v);
   }
-  EXPECT_EQ(RootHex(shared.RootHash()),
+  EXPECT_EQ(RootHex(cow),
             "8aad789dff2f538bca5d8ea56e8abe10f4c7ba3a5dea95fea4cd6e7c3a1168d3");
-  EXPECT_EQ(shared.RootHash(), seed.RootHash());
+  EXPECT_EQ(cow.RootHash(), ref.RootHash());
 }
 
-TEST(SharedTrieTest, DifferentialAgainstSeedTrie) {
-  // Random inserts, overwrites and deletes; after every mutation the shared
-  // trie's root must equal a seed trie holding the same content.
+TEST(CowTrieTest, DifferentialAgainstReferenceTrie) {
+  // Random inserts, overwrites and deletes; after every mutation the trie's
+  // root must equal a reference trie holding the same content.
   std::mt19937_64 rng(0xC0FFEE);
-  SharedTrie shared;
-  trie::Trie seed;
+  Trie cow;
+  ReferenceTrie ref;
   std::map<std::string, std::string> model;
 
   auto random_key = [&rng]() {
@@ -67,32 +65,32 @@ TEST(SharedTrieTest, DifferentialAgainstSeedTrie) {
       auto it = model.begin();
       std::advance(it, rng() % model.size());
       k = it->first;
-      shared.Delete(BytesOf(k));
-      seed.Delete(BytesOf(k));
+      cow.Delete(BytesOf(k));
+      ref.Delete(BytesOf(k));
       model.erase(k);
     } else {
       std::string v = "value-" + std::to_string(rng() % 1000);
-      shared.Put(BytesOf(k), BytesOf(v));
-      seed.Put(BytesOf(k), BytesOf(v));
+      cow.Put(BytesOf(k), BytesOf(v));
+      ref.Put(BytesOf(k), BytesOf(v));
       model[k] = v;
     }
-    ASSERT_EQ(shared.RootHash(), seed.RootHash()) << "diverged at step " << step;
+    ASSERT_EQ(cow.RootHash(), ref.RootHash()) << "diverged at step " << step;
   }
   // Content agrees with the model too.
   for (const auto& [k, v] : model) {
-    Result<Bytes> got = shared.Get(BytesOf(k));
+    Result<Bytes> got = cow.Get(BytesOf(k));
     ASSERT_TRUE(got.ok()) << k;
     EXPECT_EQ(*got, BytesOf(v));
   }
 }
 
-TEST(SharedTrieTest, CopyIsIndependentSnapshot) {
-  SharedTrie a;
+TEST(CowTrieTest, CopyIsIndependentSnapshot) {
+  Trie a;
   a.Put(BytesOf("doe"), BytesOf("reindeer"));
   a.Put(BytesOf("dog"), BytesOf("puppy"));
   Hash32 root_before = a.RootHash();
 
-  SharedTrie b = a;  // O(1): shares all nodes
+  Trie b = a;  // O(1): shares all nodes
   EXPECT_EQ(a.root().get(), b.root().get());
 
   a.Put(BytesOf("dog"), BytesOf("hound"));
@@ -106,15 +104,15 @@ TEST(SharedTrieTest, CopyIsIndependentSnapshot) {
   EXPECT_EQ(a.RootHash(), root_before);
 }
 
-TEST(SharedTrieTest, StructuralSharingAfterMutation) {
+TEST(CowTrieTest, StructuralSharingAfterMutation) {
   // Two tries differing in one key share the untouched subtrees: mutating
   // one key must not clone the whole trie.
-  SharedTrie a;
+  Trie a;
   for (int i = 0; i < 200; ++i) {
     a.Put(BytesOf("key-" + std::to_string(i)), BytesOf("v" + std::to_string(i)));
   }
   size_t nodes_before = a.CountNodes();
-  SharedTrie b = a;
+  Trie b = a;
   b.Put(BytesOf("key-7"), BytesOf("changed"));
   // Only the spine from the root to one leaf was copied; reachable node
   // count is unchanged (same shape), and far fewer than 2x nodes exist in
@@ -123,8 +121,8 @@ TEST(SharedTrieTest, StructuralSharingAfterMutation) {
   EXPECT_NE(a.root().get(), b.root().get());
 }
 
-TEST(SharedTrieTest, NoOpWritePreservesIdentity) {
-  SharedTrie t;
+TEST(CowTrieTest, NoOpWritePreservesIdentity) {
+  Trie t;
   t.Put(BytesOf("alpha"), BytesOf("1"));
   t.Put(BytesOf("beta"), BytesOf("2"));
   const void* root_before = t.root().get();
@@ -134,15 +132,8 @@ TEST(SharedTrieTest, NoOpWritePreservesIdentity) {
   EXPECT_EQ(t.root().get(), root_before);
 }
 
-TEST(SharedTrieTest, EmptyValueDeletes) {
-  SharedTrie t;
-  t.Put(BytesOf("k"), BytesOf("v"));
-  t.Put(BytesOf("k"), BytesView());
-  EXPECT_TRUE(t.IsEmpty());
-}
-
-TEST(SharedTrieTest, ProofsVerifyAgainstSeedVerifier) {
-  SharedTrie t;
+TEST(CowTrieTest, ProofsVerifyWithAbsence) {
+  Trie t;
   std::vector<std::string> keys;
   for (int i = 0; i < 50; ++i) {
     std::string k = "account-" + std::to_string(i);
@@ -152,8 +143,7 @@ TEST(SharedTrieTest, ProofsVerifyAgainstSeedVerifier) {
   Hash32 root = t.RootHash();
   for (const std::string& k : keys) {
     std::vector<Bytes> proof = t.Prove(BytesOf(k));
-    Result<std::optional<Bytes>> res =
-        trie::Trie::VerifyProof(root, BytesOf(k), proof);
+    Result<std::optional<Bytes>> res = Trie::VerifyProof(root, BytesOf(k), proof);
     ASSERT_TRUE(res.ok()) << k << ": " << res.status().message();
     ASSERT_TRUE(res->has_value()) << k;
     EXPECT_EQ(**res, BytesOf("balance-" + std::to_string(
@@ -162,36 +152,40 @@ TEST(SharedTrieTest, ProofsVerifyAgainstSeedVerifier) {
   // Absence proof.
   std::vector<Bytes> absent = t.Prove(BytesOf("account-999"));
   Result<std::optional<Bytes>> res =
-      trie::Trie::VerifyProof(root, BytesOf("account-999"), absent);
+      Trie::VerifyProof(root, BytesOf("account-999"), absent);
   ASSERT_TRUE(res.ok());
   EXPECT_FALSE(res->has_value());
 }
 
-TEST(SharedTrieTest, SecureTrieMatchesSeedSecureTrie) {
-  SecureSharedTrie shared;
-  trie::SecureTrie seed;
+TEST(CowTrieTest, SecureTrieMatchesReferenceOverHashedKeys) {
+  SecureTrie secure;
+  ReferenceTrie ref;
+  auto hashed = [](const Bytes& k) {
+    Hash32 h = Keccak256(k);
+    return Bytes(h.begin(), h.end());
+  };
   for (int i = 0; i < 64; ++i) {
     Bytes k = BytesOf("slot" + std::to_string(i));
     Bytes v = BytesOf(std::string(1 + i % 40, 'x'));
-    shared.Put(k, v);
-    seed.Put(k, v);
+    secure.Put(k, v);
+    ref.Put(hashed(k), v);
   }
-  EXPECT_EQ(shared.RootHash(), seed.RootHash());
-  shared.Delete(BytesOf("slot3"));
-  seed.Delete(BytesOf("slot3"));
-  EXPECT_EQ(shared.RootHash(), seed.RootHash());
+  EXPECT_EQ(secure.RootHash(), ref.RootHash());
+  secure.Delete(BytesOf("slot3"));
+  ref.Delete(hashed(BytesOf("slot3")));
+  EXPECT_EQ(secure.RootHash(), ref.RootHash());
 }
 
-TEST(SharedTrieTest, ConcurrentHashingOfSharedSnapshots) {
+TEST(CowTrieTest, ConcurrentHashingOfSharedSnapshots) {
   // Snapshots share nodes whose encodings are memoized lazily; hashing the
   // same nodes from many threads must be race-free (TSan-checked in CI).
-  SharedTrie base;
+  Trie base;
   for (int i = 0; i < 300; ++i) {
     base.Put(BytesOf("key-" + std::to_string(i)),
              BytesOf("value-" + std::to_string(i)));
   }
   // Note: RootHash has NOT been called yet — encodings are all cold.
-  std::vector<SharedTrie> copies(8, base);
+  std::vector<Trie> copies(8, base);
   Hash32 expect;
   std::vector<std::thread> threads;
   std::vector<Hash32> roots(copies.size());
@@ -203,8 +197,8 @@ TEST(SharedTrieTest, ConcurrentHashingOfSharedSnapshots) {
   for (const Hash32& r : roots) EXPECT_EQ(r, expect);
 }
 
-TEST(SharedTrieTest, PersistWalkEmitsEachNodeOnceAndStopsAtKnown) {
-  SharedTrie t;
+TEST(CowTrieTest, PersistWalkEmitsEachNodeOnceAndStopsAtKnown) {
+  Trie t;
   for (int i = 0; i < 120; ++i) {
     t.Put(BytesOf("key-" + std::to_string(i)), BytesOf(std::string(40, 'a')));
   }
@@ -238,4 +232,4 @@ TEST(SharedTrieTest, PersistWalkEmitsEachNodeOnceAndStopsAtKnown) {
 }
 
 }  // namespace
-}  // namespace onoff::storage
+}  // namespace onoff::trie
