@@ -1,6 +1,7 @@
-// Interpreter dispatch benchmark: the same workloads under the reference
-// switch loop, threaded dispatch without fusion, and threaded dispatch with
-// superinstructions (the default).
+// Interpreter dispatch benchmark: the same workloads on the reference
+// switch loop (the test oracle, reached through
+// evm::testing::ReferenceLoopScope) and on the threaded loop every
+// production frame runs.
 //
 //   dense:    direct Evm::Call of an arithmetic loop contract — the
 //             dispatch-bound worst case where per-instruction overhead
@@ -10,23 +11,31 @@
 //             re-execution) — the paper's actual transaction mix, where
 //             keccak/storage/sig work dilutes dispatch overhead.
 //
-// Every row records gas and the post-state root; any divergence from the
-// switch reference is a correctness failure (exit 1), so the reported
+// Each of --repeats N rounds (default 7) runs every mode once, back to
+// back, so load drift on the machine hits both loops alike. A row reports
+// the median wall time and the median per-round speedup over the switch
+// loop, each with its interquartile range.
+//
+// Every run records gas and the post-state root; any divergence from the
+// first switch run is a correctness failure (exit 1), so the reported
 // speedups are over verified-identical executions.
 //
 // Writes BENCH_evm_interp.json (onoffchain-bench-v1) via --json <path>.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "chain/blockchain.h"
 #include "contracts/betting.h"
 #include "crypto/secp256k1.h"
 #include "easm/assembler.h"
 #include "evm/evm.h"
+#include "evm/interp.h"
 #include "obs/export.h"
 #include "state/world_state.h"
 
@@ -40,13 +49,57 @@ double MsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+// Linear-interpolated quantile of `v` (0 <= q <= 1).
+double Quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  double pos = q * static_cast<double>(v.size() - 1);
+  size_t lo = static_cast<size_t>(pos);
+  size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+}
+
+struct Spread {
+  double median = 0;
+  double iqr = 0;  // q3 - q1
+};
+
+Spread SpreadOf(const std::vector<double>& v) {
+  return {Quantile(v, 0.5), Quantile(v, 0.75) - Quantile(v, 0.25)};
+}
+
+struct Mode {
+  const char* name;
+  bool reference;  // run on the switch loop
+};
+constexpr Mode kModes[] = {{"switch", true}, {"threaded", false}};
+
+// Runs `fn` with every frame on the selected loop.
+template <typename Fn>
+auto OnLoop(const Mode& mode, Fn fn) {
+  if (!mode.reference) return fn();
+  evm::testing::ReferenceLoopScope scope;
+  return fn();
+}
+
+// One timed run of a workload: what it cost and what it produced.
+struct RunResult {
+  double wall_ms = 0;
+  uint64_t gas = 0;
+  Bytes output;
+  Hash32 root{};
+
+  bool SameEffects(const RunResult& o) const {
+    return gas == o.gas && output == o.output && root == o.root;
+  }
+};
+
 // ---------------------------------------------------------------------------
 // Dense workload
 // ---------------------------------------------------------------------------
 
 // An accumulator loop: ~18 cheap ops per iteration, no checkpoints inside
-// the loop body except the fused JUMPI back-edge. Returns the accumulator,
-// so the output hash pins the whole computation.
+// the loop body. Returns the accumulator, so the output hash pins the whole
+// computation.
 Bytes DenseLoopRuntime(uint64_t iterations) {
   char iters_hex[16];
   std::snprintf(iters_hex, sizeof iters_hex, "%04llx",
@@ -71,16 +124,8 @@ Bytes DenseLoopRuntime(uint64_t iterations) {
   return *code;
 }
 
-struct DenseResult {
-  double wall_ms = 0;
-  double mgas_per_s = 0;
-  uint64_t gas_used = 0;
-  Bytes output;
-  Hash32 root{};
-};
-
-DenseResult RunDense(evm::DispatchMode mode, const Bytes& runtime,
-                     uint64_t calls) {
+// `gas` is per call.
+RunResult RunDense(const Bytes& runtime, uint64_t calls) {
   state::WorldState world;
   Address contract = Address::FromWord(U256(0xd15a));
   Address sender = Address::FromWord(U256(0xaa));
@@ -90,13 +135,12 @@ DenseResult RunDense(evm::DispatchMode mode, const Bytes& runtime,
   world.ClearJournal();
 
   evm::Evm vm(&world, evm::BlockContext{}, evm::TxContext{sender, U256(1)});
-  vm.set_dispatch_mode(mode);
   evm::CallMessage msg;
   msg.caller = sender;
   msg.to = contract;
   msg.gas = 2'000'000;
 
-  DenseResult r;
+  RunResult r;
   auto one_call = [&] {
     evm::ExecResult res = vm.Call(msg);
     if (!res.ok()) {
@@ -104,7 +148,7 @@ DenseResult RunDense(evm::DispatchMode mode, const Bytes& runtime,
                    evm::OutcomeToString(res.outcome));
       std::exit(1);
     }
-    r.gas_used = msg.gas - res.gas_left;
+    r.gas = msg.gas - res.gas_left;
     r.output = res.output;
   };
   for (uint64_t i = 0; i < calls / 8 + 1; ++i) one_call();  // warmup
@@ -112,9 +156,6 @@ DenseResult RunDense(evm::DispatchMode mode, const Bytes& runtime,
   auto start = std::chrono::steady_clock::now();
   for (uint64_t i = 0; i < calls; ++i) one_call();
   r.wall_ms = MsSince(start);
-  r.mgas_per_s = r.wall_ms > 0 ? static_cast<double>(r.gas_used * calls) /
-                                     (r.wall_ms * 1000.0)
-                               : 0.0;
   r.root = world.StateRoot();
   return r;
 }
@@ -123,19 +164,12 @@ DenseResult RunDense(evm::DispatchMode mode, const Bytes& runtime,
 // Protocol workload (the Table II dispute flow)
 // ---------------------------------------------------------------------------
 
-struct ProtocolResult {
-  double wall_ms = 0;
-  uint64_t total_gas = 0;
-  Hash32 root{};
-};
-
-ProtocolResult RunProtocolOnce(const std::string& dispatch) {
+// `gas` is the flow's total.
+RunResult RunProtocol() {
   auto alice = secp256k1::PrivateKey::FromSeed("alice");
   auto bob = secp256k1::PrivateKey::FromSeed("bob");
 
-  chain::ChainConfig config;
-  config.evm_dispatch = dispatch;
-  chain::Blockchain chain(config);
+  chain::Blockchain chain;
   chain.FundAccount(alice.EthAddress(), contracts::Ether(10));
   chain.FundAccount(bob.EthAddress(), contracts::Ether(10));
 
@@ -158,7 +192,7 @@ ProtocolResult RunProtocolOnce(const std::string& dispatch) {
   auto onchain_init = contracts::BuildOnChainInit(betting);
   auto offchain_init = contracts::BuildOffChainInit(offchain);
 
-  ProtocolResult r;
+  RunResult r;
   uint64_t gas = 0;
   auto start = std::chrono::steady_clock::now();
 
@@ -196,22 +230,62 @@ ProtocolResult RunProtocolOnce(const std::string& dispatch) {
   gas += resolve->gas_used;
 
   r.wall_ms = MsSince(start);
-  r.total_gas = gas;
+  r.gas = gas;
   r.root = chain.blocks().back().header.state_root;
   return r;
 }
 
-ProtocolResult RunProtocol(const std::string& dispatch, int reps) {
-  ProtocolResult best;
-  for (int i = 0; i < reps; ++i) {
-    ProtocolResult r = RunProtocolOnce(dispatch);
-    if (i == 0 || r.wall_ms < best.wall_ms) {
-      double wall = r.wall_ms;
-      best = r;
-      best.wall_ms = wall;
+// ---------------------------------------------------------------------------
+// Interleaved repeats
+// ---------------------------------------------------------------------------
+
+struct ModeStats {
+  Spread wall_ms;
+  Spread speedup;  // per-round switch wall / this mode's wall
+  RunResult last;
+  bool roots_match = true;
+};
+
+// Runs every mode once per round, `repeats` rounds, and checks every run's
+// effects against the first switch run.
+template <typename Fn>
+std::vector<ModeStats> Interleave(int repeats, Fn run) {
+  const size_t n = std::size(kModes);
+  std::vector<std::vector<double>> walls(n);
+  std::vector<ModeStats> stats(n);
+  RunResult ref;
+  for (int rep = 0; rep < repeats; ++rep) {
+    for (size_t m = 0; m < n; ++m) {
+      RunResult r = OnLoop(kModes[m], run);
+      if (rep == 0 && m == 0) ref = r;
+      stats[m].roots_match = stats[m].roots_match && r.SameEffects(ref);
+      walls[m].push_back(r.wall_ms);
+      stats[m].last = std::move(r);
     }
   }
-  return best;
+  for (size_t m = 0; m < n; ++m) {
+    std::vector<double> speedups;
+    for (int rep = 0; rep < repeats; ++rep) {
+      speedups.push_back(walls[m][rep] > 0 ? walls[0][rep] / walls[m][rep]
+                                           : 0.0);
+    }
+    stats[m].wall_ms = SpreadOf(walls[m]);
+    stats[m].speedup = SpreadOf(speedups);
+  }
+  return stats;
+}
+
+obs::Json Row(const char* workload, const Mode& mode, int repeats,
+              const ModeStats& s) {
+  return obs::Json::Object()
+      .Set("workload", obs::Json::Str(workload))
+      .Set("mode", obs::Json::Str(mode.name))
+      .Set("repeats", obs::Json::Uint(static_cast<uint64_t>(repeats)))
+      .Set("wall_ms", obs::Json::Num(s.wall_ms.median))
+      .Set("wall_ms_iqr", obs::Json::Num(s.wall_ms.iqr))
+      .Set("speedup_vs_switch", obs::Json::Num(s.speedup.median))
+      .Set("speedup_iqr", obs::Json::Num(s.speedup.iqr))
+      .Set("roots_match", obs::Json::Bool(s.roots_match));
 }
 
 }  // namespace
@@ -221,80 +295,67 @@ int main(int argc, char** argv) {
       obs::JsonPathFromArgsOrExit(&argc, argv, "BENCH_evm_interp.json");
   uint64_t dense_calls = 60;
   uint64_t dense_iters = 0x2000;
-  int protocol_reps = 3;
+  int repeats = 7;
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--calls") == 0) {
       dense_calls = std::strtoull(argv[i + 1], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--reps") == 0) {
-      protocol_reps = static_cast<int>(std::strtol(argv[i + 1], nullptr, 10));
+    } else if (std::strcmp(argv[i], "--repeats") == 0) {
+      repeats = static_cast<int>(std::strtol(argv[i + 1], nullptr, 10));
     }
   }
-
-  struct ModeRow {
-    const char* name;
-    evm::DispatchMode mode;
-  };
-  const ModeRow modes[] = {
-      {"switch", evm::DispatchMode::kSwitch},
-      {"threaded-nofuse", evm::DispatchMode::kThreadedNoFuse},
-      {"threaded", evm::DispatchMode::kThreaded},
-  };
+  if (repeats < 1) {
+    std::fprintf(stderr, "--repeats must be >= 1\n");
+    return 2;
+  }
 
   obs::Json rows = obs::Json::Array();
   bool all_roots_match = true;
 
   // ---- dense ----
   Bytes runtime = DenseLoopRuntime(dense_iters);
-  std::printf("=== EVM interpreter dispatch: dense loop, %llu calls/mode ===\n\n",
-              static_cast<unsigned long long>(dense_calls));
-  std::printf("%-18s %12s %12s %12s %10s %8s\n", "mode", "wall (ms)",
-              "Mgas/s", "gas/call", "speedup", "roots");
-
-  DenseResult dense_ref;
-  for (const ModeRow& m : modes) {
-    DenseResult r = RunDense(m.mode, runtime, dense_calls);
-    if (m.mode == evm::DispatchMode::kSwitch) dense_ref = r;
-    bool match = r.gas_used == dense_ref.gas_used &&
-                 r.output == dense_ref.output && r.root == dense_ref.root;
-    all_roots_match = all_roots_match && match;
-    double speedup = r.wall_ms > 0 ? dense_ref.wall_ms / r.wall_ms : 0.0;
-    std::printf("%-18s %12.1f %12.1f %12llu %9.2fx %8s\n", m.name, r.wall_ms,
-                r.mgas_per_s, static_cast<unsigned long long>(r.gas_used),
-                speedup, match ? "ok" : "DIFF");
-    rows.Push(obs::Json::Object()
-                  .Set("workload", obs::Json::Str("dense"))
-                  .Set("mode", obs::Json::Str(m.name))
+  std::printf(
+      "=== EVM interpreter dispatch: dense loop, %llu calls/mode, median of "
+      "%d ===\n\n",
+      static_cast<unsigned long long>(dense_calls), repeats);
+  std::printf("%-10s %10s %8s %10s %12s %10s %8s %8s\n", "mode", "wall (ms)",
+              "IQR", "Mgas/s", "gas/call", "speedup", "IQR", "roots");
+  std::vector<ModeStats> dense =
+      Interleave(repeats, [&] { return RunDense(runtime, dense_calls); });
+  for (size_t m = 0; m < dense.size(); ++m) {
+    const ModeStats& s = dense[m];
+    all_roots_match = all_roots_match && s.roots_match;
+    double mgas_per_s =
+        s.wall_ms.median > 0
+            ? static_cast<double>(s.last.gas * dense_calls) /
+                  (s.wall_ms.median * 1000.0)
+            : 0.0;
+    std::printf("%-10s %10.1f %8.1f %10.1f %12llu %9.2fx %8.2f %8s\n",
+                kModes[m].name, s.wall_ms.median, s.wall_ms.iqr, mgas_per_s,
+                static_cast<unsigned long long>(s.last.gas), s.speedup.median,
+                s.speedup.iqr, s.roots_match ? "ok" : "DIFF");
+    rows.Push(Row("dense", kModes[m], repeats, s)
                   .Set("calls", obs::Json::Uint(dense_calls))
-                  .Set("wall_ms", obs::Json::Num(r.wall_ms))
-                  .Set("mgas_per_s", obs::Json::Num(r.mgas_per_s))
-                  .Set("gas_per_call", obs::Json::Uint(r.gas_used))
-                  .Set("speedup_vs_switch", obs::Json::Num(speedup))
-                  .Set("roots_match", obs::Json::Bool(match)));
+                  .Set("mgas_per_s", obs::Json::Num(mgas_per_s))
+                  .Set("gas_per_call", obs::Json::Uint(s.last.gas)));
   }
 
   // ---- protocol ----
   std::printf(
-      "\n=== Table II dispute flow (reveal_iterations=2000), best of %d ===\n\n",
-      protocol_reps);
-  std::printf("%-18s %12s %14s %10s %8s\n", "mode", "wall (ms)", "total gas",
-              "speedup", "roots");
-  ProtocolResult proto_ref;
-  for (const ModeRow& m : modes) {
-    ProtocolResult r = RunProtocol(m.name, protocol_reps);
-    if (m.mode == evm::DispatchMode::kSwitch) proto_ref = r;
-    bool match = r.total_gas == proto_ref.total_gas && r.root == proto_ref.root;
-    all_roots_match = all_roots_match && match;
-    double speedup = r.wall_ms > 0 ? proto_ref.wall_ms / r.wall_ms : 0.0;
-    std::printf("%-18s %12.1f %14llu %9.2fx %8s\n", m.name, r.wall_ms,
-                static_cast<unsigned long long>(r.total_gas), speedup,
-                match ? "ok" : "DIFF");
-    rows.Push(obs::Json::Object()
-                  .Set("workload", obs::Json::Str("protocol"))
-                  .Set("mode", obs::Json::Str(m.name))
-                  .Set("wall_ms", obs::Json::Num(r.wall_ms))
-                  .Set("total_gas", obs::Json::Uint(r.total_gas))
-                  .Set("speedup_vs_switch", obs::Json::Num(speedup))
-                  .Set("roots_match", obs::Json::Bool(match)));
+      "\n=== Table II dispute flow (reveal_iterations=2000), median of %d "
+      "===\n\n",
+      repeats);
+  std::printf("%-10s %10s %8s %14s %10s %8s %8s\n", "mode", "wall (ms)", "IQR",
+              "total gas", "speedup", "IQR", "roots");
+  std::vector<ModeStats> proto = Interleave(repeats, RunProtocol);
+  for (size_t m = 0; m < proto.size(); ++m) {
+    const ModeStats& s = proto[m];
+    all_roots_match = all_roots_match && s.roots_match;
+    std::printf("%-10s %10.1f %8.1f %14llu %9.2fx %8.2f %8s\n",
+                kModes[m].name, s.wall_ms.median, s.wall_ms.iqr,
+                static_cast<unsigned long long>(s.last.gas), s.speedup.median,
+                s.speedup.iqr, s.roots_match ? "ok" : "DIFF");
+    rows.Push(Row("protocol", kModes[m], repeats, s)
+                  .Set("total_gas", obs::Json::Uint(s.last.gas)));
   }
 
   if (!json_path.empty()) {
@@ -307,7 +368,7 @@ int main(int argc, char** argv) {
   }
   if (!all_roots_match) {
     std::fprintf(stderr,
-                 "FAIL: dispatch modes diverged (gas/output/state root)\n");
+                 "FAIL: dispatch loops diverged (gas/output/state root)\n");
     return 1;
   }
   return 0;

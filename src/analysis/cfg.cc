@@ -110,7 +110,7 @@ BasicBlock DecodeBlock(BytesView code, uint32_t start) {
 DecodedCode::DecodedCode(BytesView code) : code_(code) {
   if (code.empty()) return;
   hash_ = Keccak256(code);
-  analysis_ = evm::CodeAnalysisCache::Global().Get(hash_, code, /*fuse=*/false);
+  analysis_ = evm::CodeAnalysisCache::Global().Get(hash_, code);
   if (analysis_ == nullptr || analysis_->switch_only) {
     analysis_.reset();
     return;

@@ -296,7 +296,7 @@ bool Transfer(const BasicBlock& block, FlowState& st, BlockFacts* facts) {
         break;
     }
 
-    if (evm::IsFusableBinop(op)) {
+    if (evm::IsPureBinop(op)) {
       ValueSet rv = EvalBinary(op, at(0).values, at(1).values);
       Taint t = operand_taint();
       popn(2);

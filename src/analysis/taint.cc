@@ -47,7 +47,7 @@ std::string ValueSet::ToString() const {
 
 ValueSet EvalBinary(uint8_t opcode_byte, const ValueSet& a,
                     const ValueSet& b) {
-  if (a.top || b.top || !evm::IsFusableBinop(opcode_byte)) {
+  if (a.top || b.top || !evm::IsPureBinop(opcode_byte)) {
     return ValueSet::Top();
   }
   evm::Handler h = evm::BinopHandler(opcode_byte);

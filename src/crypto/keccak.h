@@ -17,6 +17,18 @@ namespace onoff {
 
 using Hash32 = std::array<uint8_t, 32>;
 
+// Hash-table hasher for keys that already are keccak digests: their leading
+// bytes are uniformly distributed, so they serve as the bucket hash.
+struct Hash32Hasher {
+  size_t operator()(const Hash32& h) const {
+    size_t v = 0;
+    for (size_t i = 0; i < sizeof(size_t); ++i) {
+      v = (v << 8) | h[i];
+    }
+    return v;
+  }
+};
+
 // One-shot Keccak-256 of `data`.
 Hash32 Keccak256(BytesView data);
 

@@ -1,8 +1,5 @@
 #include "evm/analysis_cache.h"
 
-#include <cassert>
-#include <string>
-
 #include "evm/gas.h"
 #include "evm/opcodes.h"
 #include "obs/metrics.h"
@@ -270,7 +267,7 @@ U256 EvalBinop(Handler h, const U256& a, const U256& b) {
   }
 }
 
-bool IsFusableBinop(uint8_t op) {
+bool IsPureBinop(uint8_t op) {
   switch (static_cast<Opcode>(op)) {
     case Opcode::ADD:
     case Opcode::MUL:
@@ -300,17 +297,11 @@ bool IsFusableBinop(uint8_t op) {
 
 Handler BinopHandler(uint8_t op) { return HandlerFor(op); }
 
-CodeAnalysis Analyze(const Bytes& code, bool fuse) {
+CodeAnalysis Analyze(BytesView code) {
   CodeAnalysis an;
   an.jumpdests = AnalyzeJumpdests(code);
   const size_t n = code.size();
   an.jump_cell.assign(n, -1);
-
-  struct Fix {
-    uint32_t cell;
-    uint32_t target_pc;
-  };
-  std::vector<Fix> fixups;
 
   bool open = false;
   size_t blk = 0;            // current block index
@@ -413,11 +404,6 @@ CodeAnalysis Analyze(const Bytes& code, bool fuse) {
     return v;
   };
 
-  auto pool_index = [&](const U256& v) {
-    an.pool.push_back(v);
-    return static_cast<uint32_t>(an.pool.size() - 1);
-  };
-
   size_t pc = 0;
   while (pc < n) {
     uint8_t byte = code[pc];
@@ -440,84 +426,14 @@ CodeAnalysis Analyze(const Bytes& code, bool fuse) {
     }
     if (IsPush(byte)) {
       int sz = PushSize(byte);
-      size_t after = pc + 1 + static_cast<size_t>(sz);
-      U256 v = push_value(pc, sz);
-      if (fuse && after < n) {
-        uint8_t b2 = code[after];
-        if (b2 == static_cast<uint8_t>(Opcode::JUMP)) {
-          account(byte);
-          account(b2);
-          seg_gas += gas::kVeryLow + gas::kMid;
-          bool ok = v.FitsUint64() && v.low64() < n && an.jumpdests[v.low64()];
-          if (ok) {
-            uint32_t ci = emit(Handler::PUSH_JUMP, 0, pc, 0);
-            fixups.push_back({ci, static_cast<uint32_t>(v.low64())});
-          } else {
-            emit(Handler::PUSH_JUMP_BAD, 0, pc, 0);
-          }
-          close_block();
-          pc = after + 1;
-          continue;
-        }
-        if (b2 == static_cast<uint8_t>(Opcode::JUMPI)) {
-          account(byte);
-          account(b2);
-          seg_gas += gas::kVeryLow + gas::kHigh;
-          bool ok = v.FitsUint64() && v.low64() < n && an.jumpdests[v.low64()];
-          uint32_t ci = emit(
-              ok ? Handler::PUSH_JUMPI : Handler::PUSH_JUMPI_BAD, 0, pc, 0);
-          if (ok) fixups.push_back({ci, static_cast<uint32_t>(v.low64())});
-          close_block();  // the false branch falls into the next block
-          pc = after + 1;
-          continue;
-        }
-        if (IsPush(b2)) {
-          int sz2 = PushSize(b2);
-          size_t after2 = after + 1 + static_cast<size_t>(sz2);
-          if (after2 < n && IsFusableBinop(code[after2])) {
-            uint8_t b3 = code[after2];
-            U256 v2 = push_value(after, sz2);
-            account(byte);
-            account(b2);
-            account(b3);
-            seg_gas += 2 * gas::kVeryLow + StaticCost(b3);
-            // The second push is on top, so it binds to the switch's
-            // first-popped operand.
-            U256 folded = EvalBinop(HandlerFor(b3), v2, v);
-            emit(Handler::PUSH, pool_index(folded), pc, 0);
-            pc = after2 + 1;
-            continue;
-          }
-        }
-        if (IsFusableBinop(b2)) {
-          account(byte);
-          account(b2);
-          seg_gas += gas::kVeryLow + StaticCost(b2);
-          emit(Handler::PUSH_BINOP, pool_index(v), pc,
-               static_cast<uint8_t>(HandlerFor(b2)));
-          pc = after + 1;
-          continue;
-        }
-      }
       account(byte);
       seg_gas += gas::kVeryLow;
-      emit(Handler::PUSH, pool_index(v), pc, 0);
-      pc = after;
+      an.pool.push_back(push_value(pc, sz));
+      emit(Handler::PUSH, static_cast<uint32_t>(an.pool.size() - 1), pc, 0);
+      pc += 1 + static_cast<size_t>(sz);
       continue;
     }
     if (IsDup(byte)) {
-      if (fuse && pc + 1 < n &&
-          code[pc + 1] == static_cast<uint8_t>(Opcode::MLOAD)) {
-        account(byte);
-        account(code[pc + 1]);
-        seg_gas += gas::kVeryLow;  // the DUP; MLOAD charges itself
-        flush_segment();
-        emit(Handler::DUP_MLOAD, 0, pc,
-             static_cast<uint8_t>(DupDepth(byte)));
-        charge = emit(Handler::CHARGE, 0, pc + 2, 0);
-        pc += 2;
-        continue;
-      }
       account(byte);
       seg_gas += gas::kVeryLow;
       emit(Handler::DUP, 0, pc, static_cast<uint8_t>(DupDepth(byte)));
@@ -565,11 +481,6 @@ CodeAnalysis Analyze(const Bytes& code, bool fuse) {
     c.ops_end = an.blocks.empty() ? 0 : an.blocks.back().ops_count;
     an.cells.push_back(c);
   }
-
-  for (const Fix& f : fixups) {
-    assert(an.jump_cell[f.target_pc] >= 0);
-    an.cells[f.cell].imm = static_cast<uint32_t>(an.jump_cell[f.target_pc]);
-  }
   return an;
 }
 
@@ -579,21 +490,13 @@ CodeAnalysisCache& CodeAnalysisCache::Global() {
 }
 
 std::shared_ptr<const CodeAnalysis> CodeAnalysisCache::Get(
-    const Hash32& code_hash, const Bytes& code, bool fuse) {
-  return Get(code_hash, BytesView(code), fuse);
-}
-
-std::shared_ptr<const CodeAnalysis> CodeAnalysisCache::Get(
-    const Hash32& code_hash, BytesView code, bool fuse) {
+    const Hash32& code_hash, BytesView code) {
   static obs::Counter* hits = obs::GetCounterOrNull("evm.analysis_cache.hits");
   static obs::Counter* misses =
       obs::GetCounterOrNull("evm.analysis_cache.misses");
-  std::string key(reinterpret_cast<const char*>(code_hash.data()),
-                  code_hash.size());
-  key.push_back(fuse ? '\1' : '\0');
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = map_.find(key);
+    auto it = map_.find(code_hash);
     if (it != map_.end()) {
       if (hits != nullptr) hits->Inc();
       return it->second;
@@ -601,15 +504,13 @@ std::shared_ptr<const CodeAnalysis> CodeAnalysisCache::Get(
   }
   if (misses != nullptr) misses->Inc();
   // Build outside the lock: concurrent misses on distinct codes must not
-  // serialize behind one another's decode. The copy only happens on this
-  // miss path; hits stay allocation-free for BytesView callers.
-  auto built = std::make_shared<const CodeAnalysis>(
-      Analyze(Bytes(code.begin(), code.end()), fuse));
+  // serialize behind one another's decode.
+  auto built = std::make_shared<const CodeAnalysis>(Analyze(code));
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = map_.find(key);
+  auto it = map_.find(code_hash);
   if (it != map_.end()) return it->second;  // another thread built it first
   if (map_.size() >= kMaxEntries) return built;
-  map_.emplace(std::move(key), built);
+  map_.emplace(code_hash, built);
   return built;
 }
 

@@ -3,14 +3,14 @@
 // `Analyze` decodes a contract's bytecode once into (a) the classic
 // jumpdest validity bitmap, (b) basic blocks carrying hoisted static gas
 // and worst-case stack requirements, and (c) a flat instruction stream of
-// fixed-size cells the threaded dispatcher (interp.cc) executes directly —
-// including fused superinstructions for the sequences our easm codegen
-// emits hottest (PUSH+JUMP, PUSH+JUMPI, DUP+MLOAD, PUSH+binop, and
-// constant-folded PUSH+PUSH+binop).
+// fixed-size cells, one per instruction plus block bookkeeping, that the
+// threaded dispatcher (interp.cc) executes directly.
 //
-// `CodeAnalysisCache` memoizes analyses process-wide, keyed by code hash:
-// code is content-addressed, so entries never need invalidation — a
-// redeploy at the same address has a different hash and simply misses.
+// `CodeAnalysisCache` memoizes analyses process-wide, keyed by code hash
+// alone, so the interpreter and the static analyzer (analysis/cfg.h) share
+// one decode per contract. Code is content-addressed, so entries never need
+// invalidation — a redeploy at the same address has a different hash and
+// simply misses.
 // The cache is thread-safe (the PR 6 parallel executor hits it from every
 // worker) and hands out shared_ptr<const ...> so entries stay alive across
 // concurrent frames regardless of eviction.
@@ -47,9 +47,9 @@
 namespace onoff::evm {
 
 // Handler identifiers for the threaded dispatcher. Real opcodes first,
-// then the pseudo-ops the decoder synthesizes (block bookkeeping and fused
-// superinstructions). The X-macro keeps this list, the computed-goto label
-// table and the portable switch in lockstep.
+// then the block-bookkeeping pseudo-ops the decoder synthesizes. The X-macro
+// keeps this list, the computed-goto label table and the portable switch in
+// lockstep.
 #define ONOFF_EVM_HANDLER_LIST(X)                                             \
   X(STOP) X(ADD) X(MUL) X(SUB) X(DIV) X(SDIV) X(MOD) X(SMOD) X(ADDMOD)        \
   X(MULMOD) X(EXP) X(SIGNEXTEND)                                              \
@@ -65,9 +65,7 @@ namespace onoff::evm {
   X(PUSH) X(DUP) X(SWAP) X(LOG)                                               \
   X(CREATE) X(CALL) X(CALLCODE) X(RETURN) X(DELEGATECALL) X(CREATE2)          \
   X(STATICCALL) X(REVERT) X(INVALID) X(SELFDESTRUCT)                          \
-  X(BEGIN_BLOCK) X(CHARGE) X(IMPLICIT_STOP)                                   \
-  X(PUSH_JUMP) X(PUSH_JUMP_BAD) X(PUSH_JUMPI) X(PUSH_JUMPI_BAD)               \
-  X(DUP_MLOAD) X(PUSH_BINOP)
+  X(BEGIN_BLOCK) X(CHARGE) X(IMPLICIT_STOP)
 
 enum class Handler : uint8_t {
 #define ONOFF_EVM_H_ENUM(name) name,
@@ -77,12 +75,12 @@ enum class Handler : uint8_t {
 };
 
 // One decoded instruction. `imm` is overloaded per handler: constant-pool
-// index (PUSH, PUSH_BINOP), target cell index (PUSH_JUMP*, PUSH_JUMPI*),
-// block index (BEGIN_BLOCK), or a hoisted static-gas amount (CHARGE).
+// index (PUSH), block index (BEGIN_BLOCK), or a hoisted static-gas amount
+// (CHARGE).
 // `ops_end` is the count of original opcodes of the enclosing block whose
 // execution has begun once this cell runs — the prefix of the block's
 // opcode list to credit to the metrics counters if the cell halts the
-// frame. `arg` carries the DUP/SWAP/LOG n or the folded binop Handler.
+// frame. `arg` carries the DUP/SWAP/LOG n.
 struct CodeCell {
   uint32_t imm = 0;
   uint32_t pc = 0;
@@ -129,36 +127,32 @@ struct CodeAnalysis {
 // Shared with the reference interpreter and the static analyzer's CFG.
 std::vector<bool> AnalyzeJumpdests(BytesView code);
 
-// Full decode. `fuse` enables superinstruction fusion; without it the
-// stream is a 1:1 cell-per-instruction translation (the bench's
-// "threaded" vs "threaded+super" rows).
-CodeAnalysis Analyze(const Bytes& code, bool fuse);
+// Full decode.
+CodeAnalysis Analyze(BytesView code);
 
-// The binop evaluation shared by the PUSH_BINOP handler, decode-time
-// constant folding and (by construction) the switch interpreter: `a` is
-// the first-popped (top) operand, exactly as the switch cases bind it.
+// The binop evaluation shared by both dispatch loops and the static
+// analyzer's value sets: `a` is the first-popped (top) operand, exactly as
+// the switch cases bind it.
 U256 EvalBinop(Handler h, const U256& a, const U256& b);
 
-// True for the static-cost binary ops PUSH+binop fusion may absorb.
-bool IsFusableBinop(uint8_t opcode_byte);
+// True for the static-cost, two-operand, one-result ops EvalBinop computes.
+bool IsPureBinop(uint8_t opcode_byte);
 
-// Handler id of a fusable binary opcode byte (IsFusableBinop must hold);
-// lets the reference loop share EvalBinop with the threaded handlers.
+// Handler id of a pure binary opcode byte (IsPureBinop must hold); lets the
+// reference loop share EvalBinop with the threaded handlers.
 Handler BinopHandler(uint8_t opcode_byte);
 
 class CodeAnalysisCache {
  public:
   static CodeAnalysisCache& Global();
 
-  // Returns the memoized analysis for (code_hash, fuse), building it from
-  // `code` on a miss. Thread-safe; the build runs outside the lock so
-  // concurrent misses on distinct codes do not serialize.
+  // Returns the memoized analysis for `code_hash`, building it from `code`
+  // on a miss. Thread-safe; the build runs outside the lock so concurrent
+  // misses on distinct codes do not serialize. Only copies the code on a
+  // miss, so view callers (the static analyzer's DecodedCode) stay
+  // allocation-free on hits.
   std::shared_ptr<const CodeAnalysis> Get(const Hash32& code_hash,
-                                          const Bytes& code, bool fuse);
-  // View-based variant for callers that don't own a Bytes (the static
-  // analyzer's DecodedCode); only copies the code on a miss.
-  std::shared_ptr<const CodeAnalysis> Get(const Hash32& code_hash,
-                                          BytesView code, bool fuse);
+                                          BytesView code);
 
   size_t size() const;
   void Clear();
@@ -169,7 +163,9 @@ class CodeAnalysisCache {
   static constexpr size_t kMaxEntries = 4096;
 
   mutable std::mutex mu_;
-  std::unordered_map<std::string, std::shared_ptr<const CodeAnalysis>> map_;
+  std::unordered_map<Hash32, std::shared_ptr<const CodeAnalysis>,
+                     Hash32Hasher>
+      map_;
 };
 
 }  // namespace onoff::evm

@@ -96,23 +96,20 @@ void Interpreter::CopyToMemory(BytesView src, const U256& src_off,
 }
 
 ExecResult Interpreter::Run() {
-  DispatchMode mode = evm_->dispatch_mode();
-  // A step hook observes every instruction, so traced frames always run on
-  // the reference loop.
-  if (hook_ != nullptr) mode = DispatchMode::kSwitch;
-  if (mode == DispatchMode::kSwitch) {
+  // A step hook observes every instruction, so traced frames run on the
+  // reference loop; so does every frame under a ReferenceLoopScope.
+  if (hook_ != nullptr || testing::ReferenceLoopScope::active()) {
     own_jumpdests_ = AnalyzeJumpdests(code_);
     jumpdests_ = &own_jumpdests_;
     return RunSwitch();
   }
-  bool fuse = mode == DispatchMode::kThreaded;
   if (has_override_) {
     // Init code runs once; hashing it to probe the cache would cost about
     // as much as the decode itself.
-    analysis_ = std::make_shared<const CodeAnalysis>(Analyze(code_, fuse));
+    analysis_ = std::make_shared<const CodeAnalysis>(Analyze(code_));
   } else {
     analysis_ = CodeAnalysisCache::Global().Get(
-        world_->GetCodeHash(code_addr_), code_, fuse);
+        world_->GetCodeHash(code_addr_), code_);
   }
   jumpdests_ = &analysis_->jumpdests;
   if (analysis_->switch_only) return RunSwitch();
@@ -585,6 +582,61 @@ ExecResult Interpreter::RunSwitch() {
 // Threaded dispatch over the analysis cell stream.
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// Batches the threaded loop's opcode counters across block runs. Each slot,
+// direct-mapped by block index, holds one block and its begun, uncredited
+// runs, so a loop over a few blocks pays one increment per block entry
+// instead of one atomic per distinct opcode of the block. Control leaves a
+// block only through its end, so every begun run has completed except the
+// latest run of the executing block.
+class BlockRuns {
+ public:
+  BlockRuns(const CodeAnalysis& an,
+            const std::array<obs::Counter*, 256>* counters)
+      : an_(an), counters_(counters) {}
+
+  // Records a begun run of block `index`, crediting the block it evicts.
+  void Begin(uint32_t index) {
+    if (counters_ == nullptr) return;
+    const CodeBlock* blk = &an_.blocks[index];
+    Slot& slot = slots_[index % kSlots];
+    if (slot.blk != blk) {
+      Credit(slot.blk, slot.runs);
+      slot = {blk, 0};
+    }
+    ++slot.runs;
+  }
+
+  // Credits every recorded run except the latest run of `in_progress`.
+  void CreditAll(const CodeBlock* in_progress) {
+    for (Slot& slot : slots_) {
+      Credit(slot.blk, slot.runs - (slot.blk == in_progress ? 1 : 0));
+      slot = {};
+    }
+  }
+
+ private:
+  static constexpr size_t kSlots = 4;
+  struct Slot {
+    const CodeBlock* blk = nullptr;
+    uint64_t runs = 0;
+  };
+
+  void Credit(const CodeBlock* blk, uint64_t runs) {
+    if (blk == nullptr || runs == 0) return;
+    for (uint32_t i = blk->agg_begin; i < blk->agg_end; ++i) {
+      (*counters_)[an_.agg[i].first]->Inc(an_.agg[i].second * runs);
+    }
+  }
+
+  const CodeAnalysis& an_;
+  const std::array<obs::Counter*, 256>* counters_;
+  Slot slots_[kSlots];
+};
+
+}  // namespace
+
 // Both dispatch styles share the handler bodies below; only the case labels
 // and the "advance to next cell" step differ.
 #if ONOFF_EVM_COMPUTED_GOTO
@@ -599,12 +651,13 @@ ExecResult Interpreter::RunSwitch() {
 #define ONOFF_NEXT() break
 #endif
 
-// Halts the frame from a threaded handler: credits the opcodes of the
-// current block whose execution has begun (the cell's ops_end prefix —
-// the reference loop counts an instruction before executing it) and
-// returns through Halt.
+// Halts the frame from a threaded handler: credits the completed block
+// runs plus the opcodes of the current run whose execution has begun (the
+// cell's ops_end prefix — the reference loop counts an instruction before
+// executing it) and returns through Halt.
 #define ONOFF_HALT(outcome_expr)                                        \
   do {                                                                  \
+    runs.CreditAll(pending);                                            \
     if (op_counters != nullptr && pending != nullptr) {                 \
       for (uint32_t fi = 0; fi < cell->ops_end; ++fi) {                 \
         (*op_counters)[an.ops[pending->ops_begin + fi]]->Inc();         \
@@ -627,7 +680,8 @@ ExecResult Interpreter::RunThreaded() {
   const CodeCell* const cells = an.cells.data();
   const CodeCell* ip = cells;   // next cell to execute
   const CodeCell* cell = cells;  // currently executing cell
-  const CodeBlock* pending = nullptr;  // block with unflushed counters
+  const CodeBlock* pending = nullptr;  // block of the current run
+  BlockRuns runs(an, op_counters);
 
 #if ONOFF_EVM_COMPUTED_GOTO
   // Function-local so label addresses are in scope; `static const` so GCC
@@ -647,23 +701,18 @@ ExecResult Interpreter::RunThreaded() {
 
       // ---- Block bookkeeping ----
       ONOFF_OPCASE(BEGIN_BLOCK) {
-        // The previous block ran to completion (control only leaves a
-        // block through its end), so flush its aggregated counters.
-        if (op_counters != nullptr && pending != nullptr) {
-          for (uint32_t i = pending->agg_begin; i < pending->agg_end; ++i) {
-            (*op_counters)[an.agg[i].first]->Inc(an.agg[i].second);
-          }
-        }
         const CodeBlock& b = an.blocks[cell->imm];
-        pending = &b;
         size_t sz = stack_.size();
-        // Hoisted per-block checks. On failure nothing of this block has
+        // Hoisted per-block checks. On failure nothing of this run has
         // executed yet and the frame is provably about to halt — replay on
         // the reference loop for the exact outcome, gas and counters.
         if (sz < b.stack_req || sz + b.stack_max > gas::kMaxStack ||
             gas_ < b.base_gas) {
+          runs.CreditAll(nullptr);
           return FallbackAt(cell->pc, nullptr, 0);
         }
+        runs.Begin(cell->imm);
+        pending = &b;
         gas_ -= b.base_gas;
         ONOFF_NEXT();
       }
@@ -672,6 +721,7 @@ ExecResult Interpreter::RunThreaded() {
         // up to and including the checkpoint have executed; replay covers
         // the rest of the segment.
         if (gas_ < cell->imm) {
+          runs.CreditAll(pending);
           return FallbackAt(cell->pc, pending, cell->ops_end);
         }
         gas_ -= cell->imm;
@@ -1073,43 +1123,6 @@ ExecResult Interpreter::RunThreaded() {
         world_->AddBalance(beneficiary, balance);
         world_->DeleteAccount(self_);
         ONOFF_HALT(Outcome::kSuccess);
-      }
-
-      // ---- Superinstructions ----
-      ONOFF_OPCASE(PUSH_JUMP) {
-        // PUSHn <valid dest> + JUMP; the target cell was resolved at
-        // decode, so the pair is a direct goto.
-        ip = cells + cell->imm;
-        ONOFF_NEXT();
-      }
-      ONOFF_OPCASE(PUSH_JUMP_BAD) {
-        // PUSHn <invalid dest> + JUMP always faults.
-        ONOFF_HALT(Outcome::kBadJumpDestination);
-      }
-      ONOFF_OPCASE(PUSH_JUMPI) {
-        U256 cond = stack_.PopUnsafe();
-        if (!cond.IsZero()) ip = cells + cell->imm;
-        ONOFF_NEXT();
-      }
-      ONOFF_OPCASE(PUSH_JUMPI_BAD) {
-        // Invalid constant destination: faults only when taken.
-        U256 cond = stack_.PopUnsafe();
-        if (!cond.IsZero()) ONOFF_HALT(Outcome::kBadJumpDestination);
-        ONOFF_NEXT();
-      }
-      ONOFF_OPCASE(DUP_MLOAD) {  // checkpoint (the MLOAD half)
-        U256 off = stack_.Peek(cell->arg - 1);
-        uint64_t o = 0, s = 0;
-        if (!Expand(off, U256(32), &o, &s)) ONOFF_HALT(Outcome::kOutOfGas);
-        if (!UseGas(gas::kVeryLow)) ONOFF_HALT(Outcome::kOutOfGas);
-        stack_.PushUnsafe(LoadWord(o));
-        ONOFF_NEXT();
-      }
-      ONOFF_OPCASE(PUSH_BINOP) {
-        // The pushed constant is the first-popped operand.
-        U256& b = stack_.Top();
-        b = EvalBinop(static_cast<Handler>(cell->arg), an.pool[cell->imm], b);
-        ONOFF_NEXT();
       }
 
 #if !ONOFF_EVM_COMPUTED_GOTO

@@ -1,19 +1,17 @@
 // The interpreter core behind Evm::Call/Create: one Interpreter per call
 // frame, with two dispatch loops over the same frame state.
 //
+//  - RunThreaded: the production loop. Executes the decoded cell stream
+//    from the CodeAnalysisCache (analysis_cache.h) with per-basic-block
+//    hoisted checks and, on GCC/Clang, computed-goto direct threading.
+//    Whenever a hoisted check fails the frame is about to halt, so the loop
+//    re-enters RunSwitch at the current pc and lets the reference loop
+//    produce the exact outcome, gas and counters.
 //  - RunSwitch: the reference loop — one switch over the raw bytecode with
 //    per-instruction counter/validity/stack/gas checks. This is the
-//    semantic ground truth; structLog tracing always runs here because the
-//    hook observes every step.
-//  - RunThreaded: executes the decoded cell stream from the
-//    CodeAnalysisCache (analysis_cache.h) with per-basic-block hoisted
-//    checks and, on GCC/Clang, computed-goto direct threading. Whenever a
-//    hoisted check fails the frame is about to halt, so the loop re-enters
-//    RunSwitch at the current pc and lets the reference loop produce the
-//    exact outcome, gas and counters.
-//
-// The dispatch mode is selected per Evm (default: threaded with
-// superinstruction fusion); see DispatchMode in evm.h.
+//    semantic ground truth: structLog tracing runs here because the hook
+//    observes every step, and tests reach it as the oracle for the threaded
+//    loop through testing::ReferenceLoopScope.
 
 #ifndef ONOFFCHAIN_EVM_INTERP_H_
 #define ONOFFCHAIN_EVM_INTERP_H_
@@ -115,6 +113,28 @@ class EvmStack {
   U256* base_;
   U256* top_;
 };
+
+namespace testing {
+
+// Test seam: while a scope is alive on a thread, every frame that thread
+// runs executes on the reference switch loop, exactly as a traced frame
+// does. The differential tests and bench_evm_interp use it to run the
+// oracle side by side with the threaded loop; scopes nest. Frames on other
+// threads (parallel-executor workers) are unaffected.
+class ReferenceLoopScope {
+ public:
+  ReferenceLoopScope() { ++depth_; }
+  ~ReferenceLoopScope() { --depth_; }
+  ReferenceLoopScope(const ReferenceLoopScope&) = delete;
+  ReferenceLoopScope& operator=(const ReferenceLoopScope&) = delete;
+
+  static bool active() { return depth_ > 0; }
+
+ private:
+  static inline thread_local int depth_ = 0;
+};
+
+}  // namespace testing
 
 // One interpreter activation (a call frame).
 class Interpreter {

@@ -1,9 +1,9 @@
-// The one observability time source. Every obs timestamp — ScopedTimer
-// spans, flight-recorder events, time-series samples, violation reports —
-// reads Clock::NowUs(), which is the monotonic wall clock until something
-// installs a replacement. The simulator installs its virtual clock here (see
-// BettingProtocol::BindSimulation), so a simulated run never mixes wall and
-// virtual time inside one export.
+// The one observability time source. Every obs timestamp — trace spans,
+// ScopedTimer latencies, flight-recorder events, time-series samples,
+// violation reports — reads Clock::NowUs(), which is the monotonic wall
+// clock until something installs a replacement. The simulator installs its
+// virtual clock here (see BettingProtocol::BindSimulation), so a simulated
+// run never mixes wall and virtual time inside one export.
 //
 // Cost model: NowUs is one acquire load plus either a steady_clock read or
 // one indirect call. Installed functions are retained for the process

@@ -40,16 +40,6 @@
 
 namespace onoff::storage {
 
-struct Hash32Hasher {
-  size_t operator()(const Hash32& h) const {
-    size_t v = 0;
-    for (size_t i = 0; i < sizeof(size_t); ++i) {
-      v = (v << 8) | h[i];
-    }
-    return v;
-  }
-};
-
 class NodeStore {
  public:
   // Empty path = in-memory only (no log, Open() is a no-op).

@@ -1,18 +1,21 @@
 // Unit tests for the code-analysis cache: decode structure (blocks, hoisted
-// gas, stack deltas, jump resolution), superinstruction fusion, cache
-// hit/miss behavior, and — the TSan target — many threads concurrently
-// resolving and executing the same contract through the shared cache.
+// gas, stack deltas, jump resolution), cache hit/miss behavior, one entry
+// shared by the static analyzer and the interpreter, and — the TSan target —
+// many threads concurrently resolving and executing the same contract
+// through the shared cache.
 
 #include <gtest/gtest.h>
 
 #include <thread>
 #include <vector>
 
+#include "analysis/cfg.h"
 #include "crypto/keccak.h"
 #include "evm/analysis_cache.h"
 #include "evm/evm.h"
 #include "evm/gas.h"
 #include "evm/opcodes.h"
+#include "obs/metrics.h"
 #include "state/world_state.h"
 
 namespace onoff::evm {
@@ -47,9 +50,9 @@ TEST(AnalysisTest, JumpdestBitmapSkipsPushImmediates) {
 
 TEST(AnalysisTest, SingleBlockStaticGasIsHoisted) {
   // PUSH1 1 PUSH1 2 ADD POP STOP: all static costs fold into one
-  // BEGIN_BLOCK charge (fusion off so each op gets a cell).
+  // BEGIN_BLOCK charge.
   Bytes code{0x60, 0x01, 0x60, 0x02, 0x01, 0x50, 0x00};
-  CodeAnalysis an = Analyze(code, /*fuse=*/false);
+  CodeAnalysis an = Analyze(code);
   ASSERT_FALSE(an.blocks.empty());
   EXPECT_EQ(an.blocks[0].base_gas,
             gas::kVeryLow * 3 + gas::kBase);  // 2 pushes + ADD + POP
@@ -66,7 +69,7 @@ TEST(AnalysisTest, CheckpointSplitsGasIntoChargeCells) {
   // PUSH1 0 MLOAD POP STOP: MLOAD is a checkpoint, so only the PUSH's cost
   // is hoisted into the block and the tail (POP) lands in a CHARGE cell.
   Bytes code{0x60, 0x00, 0x51, 0x50, 0x00};
-  CodeAnalysis an = Analyze(code, /*fuse=*/false);
+  CodeAnalysis an = Analyze(code);
   ASSERT_FALSE(an.blocks.empty());
   EXPECT_EQ(an.blocks[0].base_gas, gas::kVeryLow);  // PUSH only
   const CodeCell* charge = FindCell(an, Handler::CHARGE);
@@ -78,7 +81,8 @@ TEST(AnalysisTest, JumpTargetsResolveToBlockCells) {
   // PUSH1 5 JUMP INVALID JUMPDEST STOP  (JUMPDEST at pc 4... recompute)
   // code: 0:PUSH1 4  2:JUMP  3:INVALID  4:JUMPDEST  5:STOP
   Bytes code{0x60, 0x04, 0x56, 0xfe, 0x5b, 0x00};
-  CodeAnalysis an = Analyze(code, /*fuse=*/false);
+  CodeAnalysis an = Analyze(code);
+  EXPECT_EQ(CountCells(an, Handler::JUMP), 1u);  // one cell per instruction
   ASSERT_EQ(an.jump_cell.size(), code.size());
   ASSERT_GE(an.jump_cell[4], 0);
   const CodeCell& target = an.cells[an.jump_cell[4]];
@@ -87,124 +91,89 @@ TEST(AnalysisTest, JumpTargetsResolveToBlockCells) {
   EXPECT_LT(an.jump_cell[5], 0);  // STOP is no jumpdest
 }
 
-TEST(AnalysisTest, FusionProducesSuperinstructions) {
-  // PUSH+JUMP / PUSH+JUMPI / DUP+MLOAD / PUSH+binop / PUSH+PUSH+binop.
-  {
-    Bytes code{0x60, 0x03, 0x56, 0x5b, 0x00};  // PUSH1 3 JUMP JUMPDEST STOP
-    CodeAnalysis an = Analyze(code, true);
-    EXPECT_EQ(CountCells(an, Handler::PUSH_JUMP), 1u);
-    EXPECT_EQ(CountCells(an, Handler::JUMP), 0u);
-    const CodeCell* pj = FindCell(an, Handler::PUSH_JUMP);
-    ASSERT_NE(pj, nullptr);
-    EXPECT_EQ(static_cast<int32_t>(pj->imm), an.jump_cell[3]);
-  }
-  {
-    Bytes code{0x60, 0x07, 0x56, 0x00};  // invalid constant target
-    CodeAnalysis an = Analyze(code, true);
-    EXPECT_EQ(CountCells(an, Handler::PUSH_JUMP_BAD), 1u);
-  }
-  {
-    // DUP1 MLOAD (preceded by a push so the block is well-formed)
-    Bytes code{0x60, 0x00, 0x80, 0x51, 0x00};
-    CodeAnalysis an = Analyze(code, true);
-    EXPECT_EQ(CountCells(an, Handler::DUP_MLOAD), 1u);
-    EXPECT_EQ(CountCells(an, Handler::MLOAD), 0u);
-  }
-  {
-    // PUSH1 2 PUSH1 3 ADD → constant-folded to a single PUSH of 5.
-    Bytes code{0x60, 0x02, 0x60, 0x03, 0x01, 0x00};
-    CodeAnalysis an = Analyze(code, true);
-    EXPECT_EQ(CountCells(an, Handler::PUSH), 1u);
-    EXPECT_EQ(CountCells(an, Handler::PUSH_BINOP), 0u);
-    const CodeCell* push = FindCell(an, Handler::PUSH);
-    ASSERT_NE(push, nullptr);
-    // EvalBinop(ADD, second push, first push) = 3 + 2.
-    EXPECT_EQ(an.pool[push->imm], U256(5));
-  }
-  {
-    // CALLDATASIZE PUSH1 1 ADD → PUSH+binop (no second constant).
-    Bytes code{0x36, 0x60, 0x01, 0x01, 0x00};
-    CodeAnalysis an = Analyze(code, true);
-    EXPECT_EQ(CountCells(an, Handler::PUSH_BINOP), 1u);
-    const CodeCell* pb = FindCell(an, Handler::PUSH_BINOP);
-    ASSERT_NE(pb, nullptr);
-    EXPECT_EQ(pb->arg, static_cast<uint8_t>(Handler::ADD));
-  }
-  // Without fusion none of the superinstructions appear.
-  Bytes code{0x60, 0x03, 0x56, 0x5b, 0x00};
-  CodeAnalysis an = Analyze(code, false);
-  EXPECT_EQ(CountCells(an, Handler::PUSH_JUMP), 0u);
-  EXPECT_EQ(CountCells(an, Handler::JUMP), 1u);
-}
-
 TEST(AnalysisTest, UndefinedOpcodeKeepsCounterByte) {
   // 0x21 is undefined; its cell is INVALID but the ops list must keep the
   // original byte so batched metrics attribute it correctly.
   Bytes code{0x60, 0x01, 0x21};
-  CodeAnalysis an = Analyze(code, true);
+  CodeAnalysis an = Analyze(code);
   EXPECT_EQ(CountCells(an, Handler::INVALID), 1u);
   bool found = false;
   for (uint8_t b : an.ops) found |= (b == 0x21);
   EXPECT_TRUE(found);
 }
 
-TEST(AnalysisCacheTest, HitsAndMissesAndFuseKeying) {
+TEST(AnalysisCacheTest, HitsAndMisses) {
   CodeAnalysisCache& cache = CodeAnalysisCache::Global();
   cache.Clear();
   Bytes code{0x60, 0x01, 0x60, 0x02, 0x01, 0x00};
   Hash32 h = CodeHash(code);
 
-  auto a1 = cache.Get(h, code, true);
-  auto a2 = cache.Get(h, code, true);
+  auto a1 = cache.Get(h, code);
+  auto a2 = cache.Get(h, code);
   EXPECT_EQ(a1.get(), a2.get());  // second call is a hit
-
-  // Same code, different fuse flag → distinct entry.
-  auto a3 = cache.Get(h, code, false);
-  EXPECT_NE(a1.get(), a3.get());
-  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.size(), 1u);
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
+}
+
+// The loop program from the differential test: jumps, JUMPI back-edges,
+// memory traffic.
+const Bytes kLoopProgram{0x60, 0x05, 0x60, 0x03, 0x01, 0x60, 0x00, 0x52,
+                         0x60, 0x20, 0x5b, 0x60, 0x01, 0x90, 0x03, 0x80,
+                         0x60, 0x00, 0x51, 0x50, 0x80, 0x51, 0x50, 0x80,
+                         0x60, 0x0a, 0x57, 0x60, 0x1e, 0x56, 0x5b, 0x00};
+
+ExecResult RunContract(const Bytes& code) {
+  state::WorldState world;
+  Address contract = Address::FromWord(U256(0xc0de));
+  Address sender = Address::FromWord(U256(0xaa));
+  world.CreateAccount(sender);
+  world.AddBalance(sender, U256(1'000'000));
+  world.SetCode(contract, code);
+  world.ClearJournal();
+  Evm evm(&world, BlockContext{}, TxContext{sender, U256(1)});
+  CallMessage msg;
+  msg.caller = sender;
+  msg.to = contract;
+  msg.gas = 100'000;
+  return evm.Call(msg);
+}
+
+// The cache is keyed by code hash alone, so the static analyzer's decode of
+// a contract is the very entry the interpreter then executes.
+TEST(AnalysisCacheTest, AnalyzerAndInterpreterShareOneEntry) {
+  CodeAnalysisCache& cache = CodeAnalysisCache::Global();
+  cache.Clear();
+  obs::Counter* misses = obs::GetCounterOrNull("evm.analysis_cache.misses");
+  uint64_t misses_before = misses != nullptr ? misses->Value() : 0;
+
+  analysis::DecodedCode decoded(kLoopProgram);
+  EXPECT_TRUE(RunContract(kLoopProgram).ok());
+
+  EXPECT_EQ(cache.size(), 1u);
+  if (misses != nullptr) {
+    EXPECT_EQ(misses->Value() - misses_before, 1u);
+  }
 }
 
 // TSan target: concurrent Get() on the same hash from many threads while
 // executing the contract through the threaded interpreter.
 TEST(AnalysisCacheTest, ConcurrentResolutionAndExecution) {
   CodeAnalysisCache::Global().Clear();
-  // The fusion-loop program from the differential test: jumps, fused
-  // back-edges, memory traffic.
-  Bytes code{0x60, 0x05, 0x60, 0x03, 0x01, 0x60, 0x00, 0x52, 0x60, 0x20,
-             0x5b, 0x60, 0x01, 0x90, 0x03, 0x80, 0x60, 0x00, 0x51, 0x50,
-             0x80, 0x51, 0x50, 0x80, 0x60, 0x0a, 0x57, 0x60, 0x1e, 0x56,
-             0x5b, 0x00};
   const int kThreads = 8;
   std::vector<std::thread> threads;
   std::vector<int> failures(kThreads, 0);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 25; ++i) {
-        state::WorldState world;
-        Address contract = Address::FromWord(U256(0xc0de));
-        Address sender = Address::FromWord(U256(0xaa));
-        world.CreateAccount(sender);
-        world.AddBalance(sender, U256(1'000'000));
-        world.SetCode(contract, code);
-        world.ClearJournal();
-        Evm evm(&world, BlockContext{}, TxContext{sender, U256(1)});
-        evm.set_dispatch_mode(i % 2 == 0 ? DispatchMode::kThreaded
-                                         : DispatchMode::kThreadedNoFuse);
-        CallMessage msg;
-        msg.caller = sender;
-        msg.to = contract;
-        msg.gas = 100'000;
-        ExecResult res = evm.Call(msg);
-        if (!res.ok()) ++failures[t];
+        if (!RunContract(kLoopProgram).ok()) ++failures[t];
       }
     });
   }
   for (auto& th : threads) th.join();
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0) << "thread " << t;
-  // Both fuse variants were resolved exactly once each.
-  EXPECT_EQ(CodeAnalysisCache::Global().size(), 2u);
+  // All threads resolved the one shared entry.
+  EXPECT_EQ(CodeAnalysisCache::Global().size(), 1u);
 }
 
 }  // namespace

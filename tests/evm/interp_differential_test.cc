@@ -1,13 +1,15 @@
 // Differential fuzzing of the interpreter dispatch loops: every program —
 // randomized byte soup, structured random programs, the static-analysis
 // negative corpus, and checkpoint-heavy hand-written cases — must produce
-// byte-identical results under the reference switch loop and both threaded
-// modes: outcome, gas_left, return data, logs, refund, post-state root, and
-// the per-opcode metrics counters.
+// byte-identical results on the reference switch loop (the oracle, selected
+// with testing::ReferenceLoopScope) and on the threaded loop: outcome,
+// gas_left, return data, logs, refund, post-state root, and the per-opcode
+// metrics counters.
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <optional>
 #include <random>
 #include <vector>
 
@@ -54,9 +56,12 @@ std::array<uint64_t, 256> SnapshotCounters() {
   return snap;
 }
 
-// Executes `code` with the given dispatch mode on a freshly built world.
-Execution RunOnce(DispatchMode mode, const Bytes& code, const Bytes& calldata,
+// Executes `code` on a freshly built world, on the reference switch loop
+// when `reference` is set and on the threaded loop otherwise.
+Execution RunOnce(bool reference, const Bytes& code, const Bytes& calldata,
                   uint64_t gas) {
+  std::optional<testing::ReferenceLoopScope> scope;
+  if (reference) scope.emplace();
   state::WorldState world;
   Address contract = Address::FromWord(U256(kContractWord));
   Address callee = Address::FromWord(U256(kCalleeWord));
@@ -73,7 +78,6 @@ Execution RunOnce(DispatchMode mode, const Bytes& code, const Bytes& calldata,
   world.ClearJournal();
 
   Evm evm(&world, BlockContext{}, TxContext{sender, U256(1)});
-  evm.set_dispatch_mode(mode);
 
   CallMessage msg;
   msg.caller = sender;
@@ -92,8 +96,8 @@ Execution RunOnce(DispatchMode mode, const Bytes& code, const Bytes& calldata,
 }
 
 void ExpectIdentical(const Execution& ref, const Execution& got,
-                     DispatchMode mode, const std::string& label) {
-  SCOPED_TRACE(label + " mode=" + DispatchModeToString(mode));
+                     const std::string& label) {
+  SCOPED_TRACE(label);
   EXPECT_EQ(ref.result.outcome, got.result.outcome)
       << OutcomeToString(ref.result.outcome) << " vs "
       << OutcomeToString(got.result.outcome);
@@ -114,14 +118,11 @@ void ExpectIdentical(const Execution& ref, const Execution& got,
   }
 }
 
-void CheckAllModes(const Bytes& code, const Bytes& calldata, uint64_t gas,
-                   const std::string& label) {
-  Execution ref = RunOnce(DispatchMode::kSwitch, code, calldata, gas);
-  for (DispatchMode mode :
-       {DispatchMode::kThreadedNoFuse, DispatchMode::kThreaded}) {
-    Execution got = RunOnce(mode, code, calldata, gas);
-    ExpectIdentical(ref, got, mode, label);
-  }
+void CheckBothLoops(const Bytes& code, const Bytes& calldata, uint64_t gas,
+                    const std::string& label) {
+  Execution ref = RunOnce(/*reference=*/true, code, calldata, gas);
+  Execution got = RunOnce(/*reference=*/false, code, calldata, gas);
+  ExpectIdentical(ref, got, label);
 }
 
 // ---------------------------------------------------------------------------
@@ -136,7 +137,7 @@ TEST(InterpDifferentialTest, PureRandomBytecode) {
     Bytes code(len);
     for (auto& b : code) b = static_cast<uint8_t>(rng());
     uint64_t gas = gas_levels[trial % 4];
-    CheckAllModes(code, Bytes{}, gas,
+    CheckBothLoops(code, Bytes{}, gas,
                   "pure-random trial=" + std::to_string(trial));
   }
 }
@@ -183,7 +184,7 @@ TEST(InterpDifferentialTest, StructuredRandomPrograms) {
           code.push_back(static_cast<uint8_t>(0xa0 + rng() % 3));
           break;
         }
-        case 5: {  // JUMPDEST marker, remembered as a fusion target
+        case 5: {  // JUMPDEST marker, remembered as a jump target
           jumpdest_pcs.push_back(static_cast<uint32_t>(code.size()));
           code.push_back(0x5b);
           break;
@@ -209,7 +210,7 @@ TEST(InterpDifferentialTest, StructuredRandomPrograms) {
     // Modest gas keeps accidental loops bounded and exercises mid-block
     // out-of-gas in the bargain.
     uint64_t gas = 500 + rng() % 60'000;
-    CheckAllModes(code, calldata, gas,
+    CheckBothLoops(code, calldata, gas,
                   "structured trial=" + std::to_string(trial));
   }
 }
@@ -240,14 +241,14 @@ TEST(InterpDifferentialTest, AnalysisNegativeCorpus) {
   };
   for (const Program& p : programs) {
     for (uint64_t gas : {0ull, 3ull, 10ull, 100'000ull}) {
-      CheckAllModes(p.code, Bytes{0x00, 0x07}, gas,
+      CheckBothLoops(p.code, Bytes{0x00, 0x07}, gas,
                     std::string(p.name) + " gas=" + std::to_string(gas));
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint-heavy and fusion-heavy hand-written programs
+// Checkpoint-heavy and constant-jump hand-written programs
 // ---------------------------------------------------------------------------
 
 TEST(InterpDifferentialTest, CheckpointOpsAndCalls) {
@@ -270,45 +271,73 @@ TEST(InterpDifferentialTest, CheckpointOpsAndCalls) {
       0x60, 0x20, 0x60, 0x00, 0xf3,              // RETURN mem[0..32)
   };
   for (uint64_t gas : {100ull, 5'000ull, 21'000ull, 60'000ull, 500'000ull}) {
-    CheckAllModes(code, Bytes{}, gas, "checkpoints gas=" + std::to_string(gas));
+    CheckBothLoops(code, Bytes{}, gas,
+                   "checkpoints gas=" + std::to_string(gas));
   }
 }
 
-TEST(InterpDifferentialTest, FusionPatternsAndLoop) {
-  // A counting loop built from exactly the fusable shapes: PUSH+PUSH+binop
-  // (folded), PUSH+binop, DUP+MLOAD, PUSH+JUMPI back-edge, PUSH+JUMP.
+TEST(InterpDifferentialTest, ConstantOperandLoop) {
+  // A counting loop built from constant-operand shapes: PUSH+PUSH+binop,
+  // PUSH+binop, DUP+MLOAD, a PUSH+JUMPI back-edge and a PUSH+JUMP exit.
   Bytes code = {
-      0x60, 0x05, 0x60, 0x03, 0x01,  // PUSH 5 PUSH 3 ADD  (constant-folded)
+      0x60, 0x05, 0x60, 0x03, 0x01,  // PUSH 5 PUSH 3 ADD
       0x60, 0x00, 0x52,              // MSTORE mem0 = 8
       0x60, 0x20,                    // PUSH 32 = loop counter
       0x5b,                          // JUMPDEST (pc 10)
       0x60, 0x01, 0x90, 0x03,       // PUSH1 1 SWAP1 SUB  (counter -= 1)
       0x80,                          // DUP1
-      0x60, 0x00, 0x51, 0x50,        // PUSH1 0 MLOAD POP (DUP-free MLOAD)
-      0x80, 0x51, 0x50,              // DUP1 MLOAD POP    (DUP+MLOAD fusion)
+      0x60, 0x00, 0x51, 0x50,        // PUSH1 0 MLOAD POP
+      0x80, 0x51, 0x50,              // DUP1 MLOAD POP
       0x80,                          // DUP1
-      0x60, 0x0a, 0x57,              // PUSH1 10 JUMPI    (PUSH+JUMPI fusion)
-      0x60, 0x1e, 0x56,              // PUSH1 30 JUMP     (PUSH+JUMP fusion)
+      0x60, 0x0a, 0x57,              // PUSH1 10 JUMPI
+      0x60, 0x1e, 0x56,              // PUSH1 30 JUMP
       0x5b,                          // JUMPDEST (pc 30)
       0x00,                          // STOP
   };
   // Gas ladder crosses the loop's per-iteration cost so some runs die
   // mid-loop (CHARGE/BEGIN_BLOCK fallback paths) and some finish.
   for (uint64_t gas = 0; gas < 2'000; gas += 37) {
-    CheckAllModes(code, Bytes{}, gas, "fusion-loop gas=" + std::to_string(gas));
+    CheckBothLoops(code, Bytes{}, gas,
+                   "constant-loop gas=" + std::to_string(gas));
   }
-  CheckAllModes(code, Bytes{}, 1'000'000, "fusion-loop full");
+  CheckBothLoops(code, Bytes{}, 1'000'000, "constant-loop full");
 }
 
-TEST(InterpDifferentialTest, BadJumpFusionVariants) {
+TEST(InterpDifferentialTest, LoopAcrossManyBlocks) {
+  // A loop whose body spans six blocks (more than the threaded loop keeps
+  // batched counter slots for), with a checkpoint inside, so halts and
+  // fallbacks land in every block of the body at some iteration.
+  Bytes code = {
+      0x60, 0x10,                    // PUSH1 16 = loop counter
+      0x5b,                          // JUMPDEST (pc 2, loop head)
+      0x5b,                          // JUMPDEST
+      0x60, 0x01, 0x50,              // PUSH1 1 POP
+      0x5b,                          // JUMPDEST
+      0x80, 0x50,                    // DUP1 POP
+      0x5b,                          // JUMPDEST
+      0x60, 0x00, 0x51, 0x50,        // PUSH1 0 MLOAD POP
+      0x5b,                          // JUMPDEST
+      0x5b,                          // JUMPDEST
+      0x60, 0x01, 0x90, 0x03,        // PUSH1 1 SWAP1 SUB  (counter -= 1)
+      0x80, 0x60, 0x02, 0x57,        // DUP1 PUSH1 2 JUMPI
+      0x00,                          // STOP
+  };
+  for (uint64_t gas = 0; gas < 1'500; gas += 7) {
+    CheckBothLoops(code, Bytes{}, gas,
+                   "many-blocks gas=" + std::to_string(gas));
+  }
+  CheckBothLoops(code, Bytes{}, 1'000'000, "many-blocks full");
+}
+
+TEST(InterpDifferentialTest, ConstantBadJumpTargets) {
   // PUSH+JUMP to an invalid destination (always faults) and PUSH+JUMPI to
   // an invalid destination with both a taken and a non-taken condition
   // (faults only when taken).
-  CheckAllModes(Bytes{0x60, 0x03, 0x56, 0x00}, Bytes{}, 100'000,
+  CheckBothLoops(Bytes{0x60, 0x03, 0x56, 0x00}, Bytes{}, 100'000,
                 "push-jump-bad");
-  CheckAllModes(Bytes{0x60, 0x01, 0x60, 0x03, 0x57, 0x00}, Bytes{}, 100'000,
+  CheckBothLoops(Bytes{0x60, 0x01, 0x60, 0x03, 0x57, 0x00}, Bytes{}, 100'000,
                 "push-jumpi-bad-taken");
-  CheckAllModes(Bytes{0x60, 0x00, 0x60, 0x03, 0x57, 0x00}, Bytes{}, 100'000,
+  CheckBothLoops(Bytes{0x60, 0x00, 0x60, 0x03, 0x57, 0x00}, Bytes{}, 100'000,
                 "push-jumpi-bad-skipped");
 }
 
@@ -327,7 +356,7 @@ TEST(InterpDifferentialTest, CreateAndSelfdestruct) {
       0x60, 0xaa, 0xff,                          // SELFDESTRUCT -> 0xaa
   };
   for (uint64_t gas : {1'000ull, 33'000ull, 500'000ull}) {
-    CheckAllModes(code, Bytes{}, gas, "create gas=" + std::to_string(gas));
+    CheckBothLoops(code, Bytes{}, gas, "create gas=" + std::to_string(gas));
   }
 }
 
@@ -340,11 +369,11 @@ TEST(InterpDifferentialTest, ReturndatacopyPastEnd) {
       0x60, 0x21, 0x60, 0x00, 0x60, 0x00, 0x3e,        // RETURNDATACOPY 33b
       0x00,
   };
-  CheckAllModes(code, Bytes{}, 200'000, "returndatacopy-past-end");
+  CheckBothLoops(code, Bytes{}, 200'000, "returndatacopy-past-end");
 }
 
 // The init-code path (override code, uncached analysis) must agree too:
-// run a contract creation under each mode.
+// run a contract creation on both loops.
 TEST(InterpDifferentialTest, CreateTransactionPath) {
   // Init code: SSTORE(0, 7), return runtime code {STOP}.
   Bytes init = {
@@ -352,32 +381,26 @@ TEST(InterpDifferentialTest, CreateTransactionPath) {
       0x60, 0x00, 0x60, 0x00, 0x53,  // MSTORE8 mem[0] = 0x00 (STOP)
       0x60, 0x01, 0x60, 0x00, 0xf3,  // RETURN mem[0..1)
   };
-  Execution ref;
-  bool first = true;
-  for (DispatchMode mode : {DispatchMode::kSwitch,
-                            DispatchMode::kThreadedNoFuse,
-                            DispatchMode::kThreaded}) {
+  auto create = [&](bool reference) {
+    std::optional<testing::ReferenceLoopScope> scope;
+    if (reference) scope.emplace();
     state::WorldState world;
     Address sender = Address::FromWord(U256(kSenderWord));
     world.CreateAccount(sender);
     world.AddBalance(sender, U256(1'000'000));
     world.ClearJournal();
     Evm evm(&world, BlockContext{}, TxContext{sender, U256(1)});
-    evm.set_dispatch_mode(mode);
     Execution got;
     got.result = evm.Create(sender, U256(9), init, 200'000);
     got.root = world.StateRoot();
-    if (first) {
-      ref = got;
-      first = false;
-    } else {
-      SCOPED_TRACE(DispatchModeToString(mode));
-      EXPECT_EQ(ref.result.outcome, got.result.outcome);
-      EXPECT_EQ(ref.result.gas_left, got.result.gas_left);
-      EXPECT_EQ(ref.result.created, got.result.created);
-      EXPECT_EQ(ref.root, got.root);
-    }
-  }
+    return got;
+  };
+  Execution ref = create(/*reference=*/true);
+  Execution got = create(/*reference=*/false);
+  EXPECT_EQ(ref.result.outcome, got.result.outcome);
+  EXPECT_EQ(ref.result.gas_left, got.result.gas_left);
+  EXPECT_EQ(ref.result.created, got.result.created);
+  EXPECT_EQ(ref.root, got.root);
 }
 
 }  // namespace

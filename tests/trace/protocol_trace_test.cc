@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <memory>
 #include <set>
 #include <string>
 
 #include "chain/blockchain.h"
 #include "contracts/betting.h"
+#include "obs/clock.h"
 #include "onoff/protocol.h"
 #include "sim/scheduler.h"
 #include "sim/transport.h"
@@ -154,6 +157,50 @@ TEST(ProtocolTraceTest, SampledOutRunProducesNoSpans) {
 
   EXPECT_TRUE(tracer.Snapshot().empty());
   EXPECT_EQ(tracer.traces_sampled_out(), 1u);
+}
+
+uint64_t WallUs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+// A protocol bound to a scheduler hands the sim's virtual clock to every
+// obs timestamp, spans included. Once the protocol and the scheduler are
+// gone, a still-installed global tracer must stamp spans from the wall
+// clock again — never through the destroyed scheduler.
+TEST(ProtocolTraceTest, SpansReturnToWallClockAfterSimulationEnds) {
+  Tracer tracer;
+  Tracer* previous = Tracer::InstallGlobal(&tracer);
+  {
+    auto alice = secp256k1::PrivateKey::FromSeed("alice");
+    auto bob = secp256k1::PrivateKey::FromSeed("bob");
+    chain::Blockchain chain;
+    core::MessageBus bus;
+    auto sched = std::make_unique<sim::Scheduler>();
+    auto transport = std::make_unique<sim::SimTransport>(sched.get(), 7);
+    auto protocol = std::make_unique<core::BettingProtocol>(
+        &chain, &bus, alice, bob, contracts::OffchainConfig{},
+        contracts::Ether(1));
+    protocol->BindSimulation(sched.get(), transport.get());
+    EXPECT_TRUE(obs::Clock::IsVirtual());
+    protocol.reset();
+    transport.reset();
+    sched.reset();
+  }
+  EXPECT_FALSE(obs::Clock::IsVirtual());
+
+  uint64_t before = WallUs();
+  TraceContext span = tracer.BeginSpan(tracer.StartTrace(), "after", "test");
+  tracer.EndSpan(span);
+  uint64_t after = WallUs();
+  Tracer::InstallGlobal(previous);
+
+  std::vector<Span> spans = tracer.Snapshot();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_GE(spans[0].start_us, before);
+  EXPECT_LE(spans[0].start_us + spans[0].dur_us, after);
 }
 
 }  // namespace

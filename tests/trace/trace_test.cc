@@ -2,13 +2,26 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/clock.h"
+
 namespace onoff::trace {
 namespace {
 
+// Installs a settable fake obs::Clock for one scope, then restores the wall
+// clock (also when an assertion leaves the test early).
+struct FakeClock {
+  uint64_t now = 0;
+  explicit FakeClock(uint64_t start) : now(start) {
+    obs::Clock::Install([this] { return now; });
+  }
+  ~FakeClock() { obs::Clock::Install(nullptr); }
+  FakeClock(const FakeClock&) = delete;
+  FakeClock& operator=(const FakeClock&) = delete;
+};
+
 TEST(TracerTest, RootSpanAndChildComplete) {
   Tracer tracer;
-  uint64_t fake_now = 100;
-  tracer.SetClock([&fake_now] { return fake_now; });
+  FakeClock clock(100);
 
   TraceContext root = tracer.StartTrace();
   ASSERT_TRUE(root.valid());
@@ -17,11 +30,11 @@ TEST(TracerTest, RootSpanAndChildComplete) {
   TraceContext span = tracer.BeginSpan(root, "outer", "test");
   ASSERT_TRUE(span.valid());
   EXPECT_EQ(span.trace_id, root.trace_id);
-  fake_now = 250;
+  clock.now = 250;
   TraceContext child = tracer.BeginSpan(span, "inner", "test");
-  fake_now = 300;
+  clock.now = 300;
   tracer.EndSpan(child);
-  fake_now = 400;
+  clock.now = 400;
   tracer.EndSpan(span, {{"k", "v"}});
 
   std::vector<Span> spans = tracer.Snapshot();
@@ -134,14 +147,13 @@ TEST(TracerTest, GlobalInstallRestores) {
 TEST(TracerTest, ExportsAreByteDeterministic) {
   auto build = [] {
     Tracer tracer;
-    uint64_t now = 0;
-    tracer.SetClock([&now] { return now; });
+    FakeClock clock(0);
     TraceContext root = tracer.StartTrace();
     TraceContext span =
         tracer.BeginSpan(root, "work", "test", {{"zeta", "1"}, {"alpha", "2"}});
-    now = 10;
+    clock.now = 10;
     tracer.Event(span, "tick", "test");
-    now = 42;
+    clock.now = 42;
     tracer.EndSpan(span);
     return std::make_pair(tracer.ToJson().Dump(),
                           tracer.ToChromeTrace().Dump());
